@@ -24,7 +24,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo run -p xtask -- lint"
 cargo run -p xtask -- lint
 
-echo "==> cargo run -p xtask -- analyze (atomics / lock-discipline gate)"
+echo "==> cargo run -p xtask -- analyze (SeqCst / lock-order / id-narrowing gate)"
 cargo run -p xtask -- analyze
 
 echo "==> cargo build --release --workspace"
@@ -32,12 +32,6 @@ cargo build --release --workspace
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
-
-echo "==> model checker: cargo test -q -p fgcache-types --features fgcache_model"
-cargo test -q -p fgcache-types --features fgcache_model
-
-echo "==> model checker: cargo test -q -p fgcache-core --features fgcache_model --lib"
-cargo test -q -p fgcache-core --features fgcache_model --lib
 
 echo "==> loopback smoke: bench-net differential check (byte-exact vs in-process)"
 ./target/release/fgcache bench-net --loopback true --clients 2 --events 2000 \

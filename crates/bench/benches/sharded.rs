@@ -31,7 +31,6 @@ fn sharded_throughput() {
         seed: 20020702,
         profile: WorkloadProfile::Server,
         concurrent: true,
-        fast_path: true,
     };
     let traces = cfg.client_traces().expect("valid config");
     let events = (CLIENTS * EVENTS_PER_CLIENT) as u64;

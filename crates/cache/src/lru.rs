@@ -52,9 +52,6 @@ pub struct LruCache {
     // Reused by insert_speculative_batch so steady-state batch inserts
     // allocate nothing (batches are group-sized: single digits).
     batch_scratch: Vec<FileId>,
-    // When enabled, every eviction is appended here until drained.
-    log_evictions: bool,
-    eviction_log: Vec<FileId>,
 }
 
 impl LruCache {
@@ -74,44 +71,7 @@ impl LruCache {
             tail: NIL,
             stats: CacheStats::new(),
             batch_scratch: Vec::new(),
-            log_evictions: false,
-            eviction_log: Vec::new(),
         }
-    }
-
-    /// Enables or disables the eviction log. While enabled, every evicted
-    /// file is appended to an internal buffer until
-    /// [`drain_eviction_log`](Self::drain_eviction_log) consumes it.
-    /// Disabling also clears any pending entries. Used by the sharded
-    /// cache's atomic residency index to mirror membership changes.
-    pub fn set_eviction_log(&mut self, enabled: bool) {
-        self.log_evictions = enabled;
-        if !enabled {
-            self.eviction_log.clear();
-        }
-    }
-
-    /// Invokes `f` for every eviction logged since the last drain, oldest
-    /// first, then clears the log. The log buffer is reused, so draining
-    /// allocates nothing.
-    pub fn drain_eviction_log(&mut self, mut f: impl FnMut(FileId)) {
-        for &file in &self.eviction_log {
-            f(file);
-        }
-        self.eviction_log.clear();
-    }
-
-    /// Records a hit in the statistics **without** touching residency or
-    /// recency — the entry is counted as accessed but nothing moves.
-    ///
-    /// This backs the sharded cache's fast-path reconciliation: a reader
-    /// confirmed residency without the lock, but by the time the pending
-    /// touch is applied under the lock the file has been evicted by a
-    /// concurrent miss. The access was a hit when it happened, so the
-    /// stats record it as one; re-inserting the file here would invent
-    /// residency the reference model never saw.
-    pub fn record_detached_hit(&mut self) {
-        self.stats.record_hit(false);
     }
 
     /// Returns the resident files from most- to least-recently used.
@@ -231,9 +191,6 @@ impl LruCache {
                 self.detach(idx);
                 self.free.push(idx);
                 self.stats.record_eviction();
-                if self.log_evictions {
-                    self.eviction_log.push(file);
-                }
                 true
             }
             None => false,
@@ -262,9 +219,6 @@ impl LruCache {
         self.map.remove(&file);
         self.free.push(idx);
         self.stats.record_eviction();
-        if self.log_evictions {
-            self.eviction_log.push(file);
-        }
         Some(file)
     }
 }
@@ -361,7 +315,6 @@ impl Cache for LruCache {
         self.head = NIL;
         self.tail = NIL;
         self.stats = CacheStats::new();
-        self.eviction_log.clear();
     }
 
     fn check_invariants(&self) -> Result<(), InvariantViolation> {
@@ -597,40 +550,6 @@ mod tests {
         // Slab should not grow beyond capacity + O(1).
         assert!(c.nodes.len() <= 3, "slab grew to {}", c.nodes.len());
         assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn eviction_log_records_every_eviction_in_order() {
-        let mut c = LruCache::new(2);
-        c.set_eviction_log(true);
-        c.access(FileId(1));
-        c.access(FileId(2));
-        c.access(FileId(3)); // evicts 1
-        c.insert_speculative_batch(&[FileId(4), FileId(5)]); // evicts 2, 3
-        let mut log = Vec::new();
-        c.drain_eviction_log(|f| log.push(f.as_u64()));
-        assert_eq!(log, vec![1, 2, 3]);
-        // Drained: a second drain sees nothing.
-        c.drain_eviction_log(|_| panic!("log should be empty"));
-        // Disabling clears pending entries.
-        c.access(FileId(6));
-        c.set_eviction_log(false);
-        c.access(FileId(7));
-        c.set_eviction_log(true);
-        c.drain_eviction_log(|_| panic!("disabled interval must not log"));
-    }
-
-    #[test]
-    fn detached_hit_counts_without_moving_anything() {
-        let mut c = LruCache::new(2);
-        c.access(FileId(1));
-        c.access(FileId(2));
-        let before = files(&c);
-        c.record_detached_hit();
-        assert_eq!(files(&c), before);
-        assert_eq!(c.stats().hits, 1);
-        assert_eq!(c.stats().accesses, 3);
-        assert!(c.check_invariants().is_ok());
     }
 
     #[test]

@@ -203,9 +203,6 @@ pub(crate) struct MulticlientOpts {
     pub capacity: usize,
     pub group: usize,
     pub successors: usize,
-    /// `--no-fast-path true` routes every server request through the
-    /// shard mutex (results are identical; only lock traffic changes).
-    pub no_fast_path: bool,
     /// Size/cost model for the sharded server (`--sizes`, `--bundle`).
     pub sizing: SizingOpts,
 }
@@ -238,7 +235,6 @@ where
         capacity,
         group,
         successors,
-        no_fast_path,
         sizing: _,
     } = *opts;
     if clients == 0 {
@@ -248,7 +244,6 @@ where
         .shards(shards)
         .group_size(group)
         .successor_capacity(successors)
-        .fast_path(!no_fast_path)
         .bundle_eviction(opts.sizing.bundle);
     if let Some(assigner) = opts.sizing.assigner {
         builder = builder.sizes(assigner);
@@ -257,8 +252,7 @@ where
     let point = run_multiclient_stream(&server, events, clients, filter)?;
     let mut out = String::new();
     out.push_str(&format!(
-        "sharded aggregating server: capacity {capacity}, {shards} shard(s), group size {group}{}\n",
-        if no_fast_path { ", fast path disabled" } else { "" }
+        "sharded aggregating server: capacity {capacity}, {shards} shard(s), group size {group}\n"
     ));
     out.push_str(&format!(
         "clients           {} (filter capacity {filter})\n",
@@ -290,7 +284,6 @@ pub fn run(tokens: &[String]) -> Result<(), Box<dyn Error>> {
         "clients",
         "shards",
         "filter",
-        "no-fast-path",
         "sizes",
         "size-seed",
         "bundle",
@@ -313,7 +306,6 @@ pub fn run(tokens: &[String]) -> Result<(), Box<dyn Error>> {
             capacity,
             group,
             successors,
-            no_fast_path: args.flag_or("no-fast-path", false)?,
             sizing,
         };
         print!("{}", simulate_multiclient_events(events, &opts)?);
@@ -367,7 +359,6 @@ mod tests {
             capacity,
             group: 3,
             successors: 4,
-            no_fast_path: false,
             sizing: SizingOpts::default(),
         }
     }
@@ -482,24 +473,5 @@ mod tests {
             }
         )
         .is_err());
-    }
-
-    #[test]
-    fn no_fast_path_escape_hatch_matches_fast_path_output() {
-        let fast = simulate_multiclient(&trace(), &opts(4, 2, 10, 30)).unwrap();
-        let slow = simulate_multiclient(
-            &trace(),
-            &MulticlientOpts {
-                no_fast_path: true,
-                ..opts(4, 2, 10, 30)
-            },
-        )
-        .unwrap();
-        assert!(slow.contains("fast path disabled"));
-        assert!(!fast.contains("fast path disabled"));
-        // Everything after the header line is identical: the fast path
-        // never changes results.
-        let tail = |s: &str| s.lines().skip(1).map(String::from).collect::<Vec<_>>();
-        assert_eq!(tail(&fast), tail(&slow));
     }
 }

@@ -178,5 +178,19 @@ fn bad_flags_fail_with_messages() {
     let out = fgcache(&["simulate", &trace, "--capacity", "10", "--wat", "1"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+
+    // A removed flag is rejected, not silently ignored.
+    let out = fgcache(&[
+        "simulate",
+        &trace,
+        "--capacity",
+        "40",
+        "--clients",
+        "2",
+        "--no-fast-path",
+        "true",
+    ]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --no-fast-path"));
     std::fs::remove_file(&trace).ok();
 }

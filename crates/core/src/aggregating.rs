@@ -377,54 +377,6 @@ impl AggregatingCache {
         self.table.record(file);
     }
 
-    /// Applies one deferred fast-path hit (see the sharded cache's
-    /// pending-touch ring): the access is recorded exactly as
-    /// [`handle_access`](Self::handle_access) would record a hit — the
-    /// access counter, the metadata feed and the LRU promotion all fire —
-    /// so a single-threaded interleave of fast-path hits and locked
-    /// operations is bit-identical to the plain locked execution.
-    ///
-    /// If the file was evicted between the lock-free residency check and
-    /// this drain (only possible under concurrent misses), the hit is
-    /// recorded in the statistics without resurrecting the entry.
-    pub fn apply_touch(&mut self, file: FileId) {
-        self.accesses += 1;
-        if self.metadata == MetadataSource::Requests {
-            self.table.record(file);
-        }
-        if self.cache.contains(file) {
-            if self.bundle_eviction {
-                self.group_of.remove(&file);
-            }
-            self.cache.access(file);
-        } else {
-            self.cache.record_detached_hit();
-        }
-    }
-
-    /// Enables or disables the residency eviction log (see
-    /// [`LruCache::set_eviction_log`]).
-    pub fn set_eviction_log(&mut self, enabled: bool) {
-        self.cache.set_eviction_log(enabled);
-    }
-
-    /// Drains the residency eviction log (see
-    /// [`LruCache::drain_eviction_log`]): `f` is invoked once per evicted
-    /// file, oldest first, and the log is cleared.
-    pub fn drain_evictions(&mut self, f: impl FnMut(FileId)) {
-        self.cache.drain_eviction_log(f);
-    }
-
-    /// The file list transferred by the most recent demand miss (the
-    /// same slice [`Self::handle_access_with_fetch`] returned for it).
-    /// Contents are meaningful only directly after a miss — the next
-    /// miss overwrites the buffer. Lets the sharded cache's fast path
-    /// read the fetch list *after* releasing the mutable borrow that
-    /// draining the eviction log requires.
-    pub fn fetched(&self) -> &[FileId] {
-        &self.fetched
-    }
-
     /// Demand fetches performed so far (the paper's Figure 3 metric;
     /// equal to the miss count).
     pub fn demand_fetches(&self) -> u64 {

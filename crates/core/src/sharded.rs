@@ -57,9 +57,7 @@
 //! # }
 //! ```
 
-use std::sync::Mutex;
-
-use fgcache_types::sync::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use fgcache_cache::{Cache as _, CacheStats};
 use fgcache_types::hash::mix64;
@@ -69,281 +67,14 @@ use fgcache_types::{AccessOutcome, FileId, InvariantViolation, ValidationError};
 use crate::aggregating::{AggregatingCache, GroupFetchStats, InsertionPolicy, MetadataSource};
 use crate::builder::{AggregatingCacheBuilder, DEFAULT_SUCCESSOR_CAPACITY};
 
-/// Capacity of each shard's pending-touch ring. Power of two; sized so
-/// that hit bursts between locked operations (misses, metadata feeds,
-/// aggregate reads) rarely overflow — overflow is not an error, just a
-/// fall-through to the locked path, which drains the ring first.
-const TOUCH_RING_SIZE: usize = 128;
-
-/// A bounded multi-producer ring of deferred fast-path hits (file ids),
-/// drained single-consumer under the owning shard's mutex.
-///
-/// This is the classic bounded MPMC sequence-number queue (Vyukov), built
-/// from safe `AtomicU64`s only: each slot carries a sequence word that
-/// tells producers when the slot is free (`seq == pos`) and the consumer
-/// when it is full (`seq == pos + 1`). Pushes claim a position with a CAS
-/// on `head`; the pop side is only ever called while holding the shard
-/// lock, so it needs no CAS loop.
+/// One shard's mutex-guarded state.
 #[derive(Debug)]
-struct TouchRing {
-    slots: Vec<RingSlot>,
-    mask: u64,
-    head: AtomicU64,
-    tail: AtomicU64,
-}
-
-#[derive(Debug)]
-struct RingSlot {
-    seq: AtomicU64,
-    value: AtomicU64,
-}
-
-impl TouchRing {
-    fn new(size: usize) -> Self {
-        debug_assert!(size.is_power_of_two());
-        TouchRing {
-            slots: (0..size)
-                .map(|i| RingSlot {
-                    seq: AtomicU64::new(i as u64),
-                    value: AtomicU64::new(0),
-                })
-                .collect(),
-            mask: (size - 1) as u64,
-            head: AtomicU64::new(0),
-            tail: AtomicU64::new(0),
-        }
-    }
-
-    /// Attempts to enqueue `value`; returns `false` if the ring is full
-    /// (the caller falls back to the locked path, which drains first).
-    fn push(&self, value: u64) -> bool {
-        let mut pos = self.head.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[(pos & self.mask) as usize];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let diff = seq.wrapping_sub(pos) as i64;
-            if diff == 0 {
-                match self.head.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        slot.value.store(value, Ordering::Release);
-                        // Publishes the value: the consumer's Acquire load
-                        // of seq observes this Release store.
-                        slot.seq.store(pos.wrapping_add(1), Ordering::Release);
-                        return true;
-                    }
-                    Err(actual) => pos = actual,
-                }
-            } else if diff < 0 {
-                // The consumer has not freed this slot yet: full.
-                return false;
-            } else {
-                pos = self.head.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Dequeues the oldest pending value. Single consumer: must only be
-    /// called while holding the owning shard's mutex.
-    fn pop(&self) -> Option<u64> {
-        let pos = self.tail.load(Ordering::Relaxed);
-        let slot = &self.slots[(pos & self.mask) as usize];
-        let seq = slot.seq.load(Ordering::Acquire);
-        if seq == pos.wrapping_add(1) {
-            let value = slot.value.load(Ordering::Acquire);
-            // Free the slot for the producer one lap ahead.
-            slot.seq
-                .store(pos.wrapping_add(self.slots.len() as u64), Ordering::Release);
-            self.tail.store(pos.wrapping_add(1), Ordering::Relaxed);
-            Some(value)
-        } else {
-            None
-        }
-    }
-
-    /// Best-effort emptiness check (exact when no producer is active,
-    /// e.g. right after a drain under the lock in single-threaded tests).
-    fn is_empty(&self) -> bool {
-        self.head.load(Ordering::Relaxed) == self.tail.load(Ordering::Relaxed)
-    }
-}
-
-/// Slot tag: no entry ever stored here (probe chains stop at these).
-const SLOT_EMPTY: u64 = 0;
-/// Tag bits (63:62) of an occupied slot.
-const TAG_OCCUPIED: u64 = 0b10 << 62;
-/// Tag bits (63:62) of a tombstone (deleted entry; probe chains continue).
-const TAG_TOMBSTONE: u64 = 0b01 << 62;
-const TAG_MASK: u64 = 0b11 << 62;
-/// Generation field: bits 61:48 (14 bits, wraps harmlessly — see
-/// DESIGN.md §10: readers compare whole words only for equality of the
-/// id + tag portion, never order generations).
-const GEN_SHIFT: u32 = 48;
-const GEN_MASK: u64 = 0x3FFF << GEN_SHIFT;
-/// Id field: bits 47:0. Files with larger ids bypass the fast path.
-const ID_MASK: u64 = (1 << GEN_SHIFT) - 1;
-
-/// Lock-free read-side residency index: one open-addressing table of
-/// `AtomicU64` slots per shard, packing `[tag:2][generation:14][id:48]`.
-///
-/// Readers ([`contains`](Self::contains)) probe linearly from the
-/// SplitMix64 hash of the id without taking any lock. Writers (insert /
-/// remove / rebuild) run **only while holding the owning shard's mutex**,
-/// so at most one writer mutates the table at a time and the index is
-/// exactly the shard's residency set at every lock release. A reader
-/// racing a writer can transiently miss a resident file (it then takes
-/// the locked path — correct, just slower) but can never observe a file
-/// that is not resident *at the moment of the load*, because slots are
-/// published with single whole-word stores.
-///
-/// Deletions leave tombstones so reader probe chains stay intact; the
-/// table is rebuilt in place (under the lock) when tombstones accumulate.
-#[derive(Debug)]
-struct ResidencyIndex {
-    slots: Vec<AtomicU64>,
-    mask: usize,
-    /// Tombstone count; mutated only under the shard lock.
-    tombstones: AtomicU64,
-}
-
-impl ResidencyIndex {
-    fn new(capacity: usize) -> Self {
-        // ≤ 25% load factor keeps linear-probe chains short even when
-        // the shard is full; 8 bytes/slot keeps this cheap (a shard of
-        // 512 files costs 16 KiB).
-        let size = (capacity.max(1) * 4).next_power_of_two().max(16);
-        ResidencyIndex {
-            slots: (0..size).map(|_| AtomicU64::new(SLOT_EMPTY)).collect(),
-            mask: size - 1,
-            tombstones: AtomicU64::new(0),
-        }
-    }
-
-    /// Lock-free membership probe.
-    fn contains(&self, file: FileId) -> bool {
-        let Some(id) = file.packed48() else {
-            return false;
-        };
-        let mut pos = mix64(id) as usize & self.mask;
-        for _ in 0..self.slots.len() {
-            let word = self.slots[pos].load(Ordering::Acquire);
-            if word == SLOT_EMPTY {
-                return false;
-            }
-            if word & TAG_MASK == TAG_OCCUPIED && word & ID_MASK == id {
-                return true;
-            }
-            pos = (pos + 1) & self.mask;
-        }
-        false
-    }
-
-    /// Inserts `file` (caller holds the shard lock; `file` must not be
-    /// present). Ids beyond [`FileId::MAX_PACKED48`] are ignored — such
-    /// files simply never take the fast path.
-    fn insert(&self, file: FileId) {
-        let Some(id) = file.packed48() else {
-            return;
-        };
-        let mut pos = mix64(id) as usize & self.mask;
-        let mut reuse = None;
-        for _ in 0..self.slots.len() {
-            let word = self.slots[pos].load(Ordering::Acquire);
-            if word == SLOT_EMPTY {
-                break;
-            }
-            if word & TAG_MASK == TAG_TOMBSTONE && reuse.is_none() {
-                reuse = Some(pos);
-            }
-            if word & TAG_MASK == TAG_OCCUPIED && word & ID_MASK == id {
-                return; // already indexed (defensive; insert implies absence)
-            }
-            pos = (pos + 1) & self.mask;
-        }
-        let target = reuse.unwrap_or(pos);
-        let old = self.slots[target].load(Ordering::Acquire);
-        if old & TAG_MASK == TAG_TOMBSTONE {
-            self.tombstones.fetch_sub(1, Ordering::Relaxed);
-        }
-        let generation = (old & GEN_MASK).wrapping_add(1 << GEN_SHIFT) & GEN_MASK;
-        self.slots[target].store(TAG_OCCUPIED | generation | id, Ordering::Release);
-    }
-
-    /// Removes `file` (caller holds the shard lock). Leaves a tombstone
-    /// carrying the next generation so readers keep probing past it.
-    fn remove(&self, file: FileId) {
-        let Some(id) = file.packed48() else {
-            return;
-        };
-        let mut pos = mix64(id) as usize & self.mask;
-        for _ in 0..self.slots.len() {
-            let word = self.slots[pos].load(Ordering::Acquire);
-            if word == SLOT_EMPTY {
-                return;
-            }
-            if word & TAG_MASK == TAG_OCCUPIED && word & ID_MASK == id {
-                let generation = (word & GEN_MASK).wrapping_add(1 << GEN_SHIFT) & GEN_MASK;
-                self.slots[pos].store(TAG_TOMBSTONE | generation | id, Ordering::Release);
-                self.tombstones.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            pos = (pos + 1) & self.mask;
-        }
-    }
-
-    /// Whether accumulated tombstones warrant an in-place rebuild.
-    fn needs_rebuild(&self) -> bool {
-        self.tombstones.load(Ordering::Relaxed) as usize > self.slots.len() / 4
-    }
-
-    /// Rebuilds the table in place from the true resident set (caller
-    /// holds the shard lock). Concurrent readers may transiently observe
-    /// cleared slots and conclude "absent" — they then take the locked
-    /// path, which is always correct. They can never observe a spurious
-    /// "present".
-    fn rebuild(&self, residents: impl Iterator<Item = FileId>) {
-        for slot in &self.slots {
-            slot.store(SLOT_EMPTY, Ordering::Release);
-        }
-        self.tombstones.store(0, Ordering::Relaxed);
-        for file in residents {
-            self.insert(file);
-        }
-    }
-
-    /// Clears every slot (caller holds the shard lock).
-    fn clear(&self) {
-        self.rebuild(std::iter::empty());
-    }
-
-    /// All ids currently marked occupied (audit only; caller holds the
-    /// shard lock so the snapshot is exact).
-    fn occupied_ids(&self) -> Vec<FileId> {
-        self.slots
-            .iter()
-            .map(|s| s.load(Ordering::Acquire))
-            .filter(|w| w & TAG_MASK == TAG_OCCUPIED)
-            .map(|w| FileId(w & ID_MASK))
-            .collect()
-    }
-}
-
-/// One shard: the locked aggregating cache plus its lock-free read-side
-/// structures.
-#[derive(Debug)]
-struct Shard {
-    cache: Mutex<AggregatingCache>,
-    index: ResidencyIndex,
-    ring: TouchRing,
-    /// Hits served without taking the mutex (relaxed counter).
-    fast_hits: AtomicU64,
-    /// Times this shard's mutex was acquired (relaxed counter) — the
-    /// contention metric the hot-path bench reports as locks/event.
-    lock_acquisitions: AtomicU64,
+struct ShardState {
+    cache: AggregatingCache,
+    /// Times this shard's mutex was acquired — the contention metric the
+    /// hot-path bench reports as locks/event. Counted under the mutex it
+    /// counts, so it needs no atomic.
+    lock_acquisitions: u64,
 }
 
 /// Maps a file to its shard with the SplitMix64 finalizer — deterministic
@@ -417,11 +148,11 @@ mod lock_witness {
     }
 }
 
-/// RAII guard over one shard's cache mutex. Dereferences to the locked
+/// RAII guard over one shard's mutex. Dereferences to the locked
 /// [`AggregatingCache`] and keeps the debug-build lock-order witness in
 /// sync with the guard's lifetime.
 struct ShardGuard<'a> {
-    guard: std::sync::MutexGuard<'a, AggregatingCache>,
+    guard: MutexGuard<'a, ShardState>,
     #[cfg(debug_assertions)]
     witness: (usize, usize),
 }
@@ -430,13 +161,13 @@ impl std::ops::Deref for ShardGuard<'_> {
     type Target = AggregatingCache;
 
     fn deref(&self) -> &AggregatingCache {
-        &self.guard
+        &self.guard.cache
     }
 }
 
 impl std::ops::DerefMut for ShardGuard<'_> {
     fn deref_mut(&mut self) -> &mut AggregatingCache {
-        &mut self.guard
+        &mut self.guard.cache
     }
 }
 
@@ -450,37 +181,19 @@ impl Drop for ShardGuard<'_> {
 /// A hash-partitioned aggregating cache safe for concurrent clients.
 ///
 /// Construct via [`ShardedAggregatingCacheBuilder`]. All request-path
-/// methods take `&self`; each locks at most the one shard the file
-/// hashes to.
-///
-/// # Fast path
-///
-/// With the fast path enabled (the default), a request for a file the
-/// shard's lock-free residency index reports resident
-/// is answered **without acquiring the shard mutex**: the hit is counted
-/// on a relaxed atomic and the recency move is deferred into a small
-/// per-shard pending-touch ring, drained FIFO the next time *anything*
-/// locks that shard. Misses, evictions, metadata feeds and all
-/// inspection methods still take the mutex — and always drain the ring
-/// first, so the locked state never lags the request stream at the
-/// moment a lock is held. Single-threaded, the observable statistics
-/// and final residency order are bit-identical to the fast path being
-/// disabled (pinned by `tests/sharded_differential.rs`).
+/// methods take `&self`; each locks exactly the one shard the file
+/// hashes to, and every shard is one [`Mutex`] and nothing else.
 ///
 /// # Consistency model
 ///
 /// [`snapshot`] acquires **all** shard locks in ascending shard order
 /// (the only multi-lock operation besides itself being re-entered —
-/// ascending order on both sides, so no deadlock), drains every pending
-/// ring, and reads a single consistent cut. The aggregate accessors
-/// ([`stats`], [`group_stats`], [`len`], [`metadata_entries`],
-/// [`shard_accesses`], …) are built on that snapshot, so each call is a
-/// consistent cut on its own — but two *separate* calls are two
+/// ascending order on both sides, so no deadlock) and reads a single
+/// consistent cut. The aggregate accessors ([`stats`], [`group_stats`],
+/// [`len`], [`metadata_entries`], [`shard_accesses`],
+/// [`lock_acquisitions`], …) are built on that snapshot, so each call
+/// is a consistent cut on its own — but two *separate* calls are two
 /// different cuts and may disagree under concurrent traffic.
-/// The relaxed telemetry counters ([`fast_path_hits`],
-/// [`lock_acquisitions`]) are sampled with `Relaxed` loads and may be
-/// torn across shards / lag the snapshot cut; treat them as monotonic
-/// approximations, exact only after client threads have joined.
 ///
 /// [`snapshot`]: ShardedAggregatingCache::snapshot
 /// [`stats`]: ShardedAggregatingCache::stats
@@ -488,13 +201,11 @@ impl Drop for ShardGuard<'_> {
 /// [`len`]: ShardedAggregatingCache::len
 /// [`metadata_entries`]: ShardedAggregatingCache::metadata_entries
 /// [`shard_accesses`]: ShardedAggregatingCache::shard_accesses
-/// [`fast_path_hits`]: ShardedAggregatingCache::fast_path_hits
 /// [`lock_acquisitions`]: ShardedAggregatingCache::lock_acquisitions
 #[derive(Debug)]
 pub struct ShardedAggregatingCache {
-    shards: Vec<Shard>,
+    shards: Vec<Mutex<ShardState>>,
     capacity: usize,
-    fast_path: bool,
 }
 
 /// One consistent cut of the whole sharded cache, taken with every shard
@@ -511,40 +222,16 @@ pub struct ShardedSnapshot {
     pub metadata_entries: usize,
     /// Requests handled per shard, in shard order.
     pub shard_accesses: Vec<u64>,
-    /// Hits answered without a lock (relaxed sample — may lag the cut).
+    /// Always 0: every hit takes its shard's mutex. Kept only until the
+    /// repository benchmark stops reading it.
     pub fast_path_hits: u64,
-    /// Mutex acquisitions across all shards (relaxed sample, including
-    /// the acquisitions this snapshot itself performed).
+    /// Mutex acquisitions across all shards since construction or the
+    /// last [`ShardedAggregatingCache::clear`], including the one per
+    /// shard this snapshot itself performed.
     pub lock_acquisitions: u64,
 }
 
 impl ShardedAggregatingCache {
-    fn from_shards(shards: Vec<AggregatingCache>, capacity: usize, fast_path: bool) -> Self {
-        ShardedAggregatingCache {
-            shards: shards
-                .into_iter()
-                .map(|mut cache| {
-                    // The eviction log feeds index removals on the miss
-                    // path; it costs nothing when the fast path is off.
-                    cache.set_eviction_log(fast_path);
-                    let index = ResidencyIndex::new(cache.capacity());
-                    for file in cache.residents() {
-                        index.insert(file);
-                    }
-                    Shard {
-                        cache: Mutex::new(cache),
-                        index,
-                        ring: TouchRing::new(TOUCH_RING_SIZE),
-                        fast_hits: AtomicU64::new(0),
-                        lock_acquisitions: AtomicU64::new(0),
-                    }
-                })
-                .collect(),
-            capacity,
-            fast_path,
-        }
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -560,65 +247,29 @@ impl ShardedAggregatingCache {
         shard_index(file, self.shards.len())
     }
 
-    /// Acquires shard `i`'s mutex (counting the acquisition) and drains
-    /// its pending-touch ring before returning the guard. Every locked
-    /// entry point routes through here, so deferred fast-path hits are
-    /// always applied — in FIFO order, exactly as the eager path would
-    /// have — before any locked work observes the shard.
+    /// Acquires shard `i`'s mutex and counts the acquisition. Every
+    /// entry point that touches a shard routes through here.
     fn shard(&self, i: usize) -> ShardGuard<'_> {
-        let shard = &self.shards[i];
-        shard.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
         // Witness before blocking: an out-of-order acquisition is
         // reported as the discipline violation it is, not as the
         // deadlock it may eventually cause.
         #[cfg(debug_assertions)]
         lock_witness::acquire(self.shards.as_ptr() as usize, i);
-        let mut guard = ShardGuard {
-            guard: shard
-                .cache
-                .lock()
-                .expect("a shard panicked while holding its lock"),
+        let mut guard = self.shards[i]
+            .lock()
+            .expect("a shard panicked while holding its lock");
+        guard.lock_acquisitions += 1;
+        ShardGuard {
+            guard,
             #[cfg(debug_assertions)]
             witness: (self.shards.as_ptr() as usize, i),
-        };
-        if self.fast_path {
-            while let Some(raw) = shard.ring.pop() {
-                guard.apply_touch(FileId(raw));
-            }
         }
-        guard
     }
 
-    /// Handles one demand request on the owning shard.
-    ///
-    /// Fast path (see the type-level docs): if the lock-free residency
-    /// index reports the file resident and its touch fits in the pending
-    /// ring, this returns [`AccessOutcome::Hit`] without locking. All
-    /// other cases — misses, unindexable ids, a full ring, or the fast
-    /// path disabled — take the shard mutex (one lock, never more).
+    /// Handles one demand request on the owning shard (one lock, never
+    /// more).
     pub fn handle_access(&self, file: FileId) -> AccessOutcome {
-        let i = self.shard_of(file);
-        let shard = &self.shards[i];
-        if self.fast_path && shard.index.contains(file) && shard.ring.push(file.as_u64()) {
-            shard.fast_hits.fetch_add(1, Ordering::Relaxed);
-            return AccessOutcome::Hit;
-        }
-        let mut guard = self.shard(i);
-        let outcome = guard.handle_access(file);
-        if self.fast_path && outcome.is_miss() {
-            // Order matters: a miss can evict a group member from the
-            // tail and re-fetch it in the same operation, so the evicted
-            // and fetched sets overlap. Removals first, insertions
-            // second leaves exactly the resident set indexed.
-            guard.drain_evictions(|f| shard.index.remove(f));
-            for &f in guard.fetched() {
-                shard.index.insert(f);
-            }
-            if shard.index.needs_rebuild() {
-                shard.index.rebuild(guard.residents());
-            }
-        }
-        outcome
+        self.shard(self.shard_of(file)).handle_access(file)
     }
 
     /// Feeds a metadata-only observation to the owning shard's successor
@@ -657,34 +308,9 @@ impl ShardedAggregatingCache {
         out
     }
 
-    /// Whether the lock-free hit fast path is enabled.
-    pub fn fast_path_enabled(&self) -> bool {
-        self.fast_path
-    }
-
-    /// Total hits answered without taking any shard mutex. Relaxed
-    /// sample — exact only once client threads have joined.
-    pub fn fast_path_hits(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.fast_hits.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Total shard-mutex acquisitions (the contention currency the hot
-    /// path exists to save). Relaxed sample; inspection methods count
-    /// their own acquisitions too.
-    pub fn lock_acquisitions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock_acquisitions.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Takes one consistent cut of the whole cache: acquires every shard
-    /// lock in ascending shard order, drains all pending touch rings,
-    /// and reads every aggregate in a single pass while all locks are
-    /// held. This is the only operation that holds more than one lock;
+    /// lock in ascending shard order and reads every aggregate in a
+    /// single pass while all locks are held. This is the only operation that holds more than one lock;
     /// the ascending order makes concurrent snapshots deadlock-free.
     pub fn snapshot(&self) -> ShardedSnapshot {
         let guards: Vec<_> = (0..self.shards.len()).map(|i| self.shard(i)).collect();
@@ -693,6 +319,7 @@ impl ShardedAggregatingCache {
         let mut len = 0;
         let mut metadata_entries = 0;
         let mut shard_accesses = Vec::with_capacity(guards.len());
+        let mut lock_acquisitions = 0;
         for guard in &guards {
             let s = *guard.stats();
             stats.accesses += s.accesses;
@@ -709,6 +336,7 @@ impl ShardedAggregatingCache {
             len += guard.len();
             metadata_entries += guard.metadata_entries();
             shard_accesses.push(guard.accesses());
+            lock_acquisitions += guard.guard.lock_acquisitions;
         }
         ShardedSnapshot {
             stats,
@@ -716,8 +344,8 @@ impl ShardedAggregatingCache {
             len,
             metadata_entries,
             shard_accesses,
-            fast_path_hits: self.fast_path_hits(),
-            lock_acquisitions: self.lock_acquisitions(),
+            fast_path_hits: 0,
+            lock_acquisitions,
         }
     }
 
@@ -769,6 +397,14 @@ impl ShardedAggregatingCache {
         self.snapshot().shard_accesses
     }
 
+    /// Total shard-mutex acquisitions (one [`snapshot`] cut, which
+    /// counts its own one acquisition per shard).
+    ///
+    /// [`snapshot`]: Self::snapshot
+    pub fn lock_acquisitions(&self) -> u64 {
+        self.snapshot().lock_acquisitions
+    }
+
     /// Load imbalance: the busiest shard's request count divided by the
     /// mean per-shard count (1.0 = perfectly balanced; 0 with no
     /// requests).
@@ -783,25 +419,20 @@ impl ShardedAggregatingCache {
         max / mean
     }
 
-    /// Drops all resident files, successor metadata, statistics, the
-    /// residency indexes, and the telemetry counters.
+    /// Drops all resident files, successor metadata, statistics and the
+    /// lock-acquisition counter.
     pub fn clear(&self) {
-        for (i, shard) in self.shards.iter().enumerate() {
+        for i in 0..self.shards.len() {
             let mut guard = self.shard(i);
             guard.clear();
-            shard.index.clear();
-            shard.fast_hits.store(0, Ordering::Relaxed);
-            shard.lock_acquisitions.store(0, Ordering::Relaxed);
+            guard.guard.lock_acquisitions = 0;
         }
     }
 
     /// Audits every shard's internal invariants plus the cross-shard
     /// partition invariants: each shard's resident files *and* tracked
     /// successor-list keys hash to that shard, and no file is resident
-    /// on two shards. With the fast path enabled it additionally
-    /// cross-audits the lock-free residency index against the true
-    /// resident set: every indexable resident is indexed, every indexed
-    /// id is resident, and the pending-touch ring is empty once drained.
+    /// on two shards.
     ///
     /// # Errors
     ///
@@ -829,42 +460,6 @@ impl ShardedAggregatingCache {
                         "successor list for {file} found on shard {i}, hashes to shard {owner}"
                     ));
                 }
-            }
-            let shard = &self.shards[i];
-            let indexed = shard.index.occupied_ids();
-            if self.fast_path {
-                if !shard.ring.is_empty() {
-                    return err(format!("shard {i} ring not empty after drain"));
-                }
-                let mut indexable = 0usize;
-                for file in guard.residents() {
-                    if file.packed48().is_some() {
-                        indexable += 1;
-                        if !shard.index.contains(file) {
-                            return err(format!(
-                                "resident file {file} missing from shard {i}'s residency index"
-                            ));
-                        }
-                    }
-                }
-                if indexed.len() != indexable {
-                    return err(format!(
-                        "shard {i} index holds {} entries, residency has {indexable} indexable files",
-                        indexed.len()
-                    ));
-                }
-                for file in indexed {
-                    if !guard.contains(file) {
-                        return err(format!(
-                            "shard {i} index lists {file}, which is not resident"
-                        ));
-                    }
-                }
-            } else if !indexed.is_empty() {
-                return err(format!(
-                    "shard {i} index has {} entries with the fast path disabled",
-                    indexed.len()
-                ));
             }
         }
         if total_capacity != self.capacity {
@@ -901,7 +496,6 @@ pub struct ShardedAggregatingCacheBuilder {
     successor_capacity: usize,
     insertion: InsertionPolicy,
     metadata: MetadataSource,
-    fast_path: bool,
     sizes: Option<SizeCostAssigner>,
     bundle_eviction: bool,
 }
@@ -919,7 +513,6 @@ impl ShardedAggregatingCacheBuilder {
             successor_capacity: DEFAULT_SUCCESSOR_CAPACITY,
             insertion: InsertionPolicy::default(),
             metadata: MetadataSource::default(),
-            fast_path: true,
             sizes: None,
             bundle_eviction: false,
         }
@@ -968,14 +561,6 @@ impl ShardedAggregatingCacheBuilder {
     /// Sets where successor observations come from.
     pub fn metadata_source(mut self, source: MetadataSource) -> Self {
         self.metadata = source;
-        self
-    }
-
-    /// Enables or disables the lock-free hit fast path (default:
-    /// enabled). Disabling it routes every request through the shard
-    /// mutex — the escape hatch behind the CLI's `--no-fast-path`.
-    pub fn fast_path(mut self, enabled: bool) -> Self {
-        self.fast_path = enabled;
         self
     }
 
@@ -1030,13 +615,15 @@ impl ShardedAggregatingCacheBuilder {
             if let Some(assigner) = self.sizes {
                 builder = builder.sizes(assigner);
             }
-            shards.push(builder.build()?);
+            shards.push(Mutex::new(ShardState {
+                cache: builder.build()?,
+                lock_acquisitions: 0,
+            }));
         }
-        Ok(ShardedAggregatingCache::from_shards(
+        Ok(ShardedAggregatingCache {
             shards,
-            self.capacity,
-            self.fast_path,
-        ))
+            capacity: self.capacity,
+        })
     }
 }
 
@@ -1286,123 +873,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_serves_hits_without_locking() {
-        let c = sharded(40, 1);
-        c.handle_access(FileId(1)); // miss: resident + indexed
-        let locks_before = c.lock_acquisitions();
-        for _ in 0..50 {
-            assert_eq!(c.handle_access(FileId(1)), AccessOutcome::Hit);
-        }
-        assert_eq!(
-            c.lock_acquisitions(),
-            locks_before,
-            "repeat hits must not take the shard mutex"
-        );
-        assert_eq!(c.fast_path_hits(), 50);
-        // Draining (via stats) surfaces the deferred touches.
-        assert_eq!(c.stats().hits, 50);
-        assert_eq!(c.stats().accesses, 51);
-        c.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn fast_path_off_disables_index_and_counters() {
-        let c = ShardedAggregatingCacheBuilder::new(40)
-            .shards(2)
-            .group_size(3)
-            .fast_path(false)
-            .build()
-            .unwrap();
-        assert!(!c.fast_path_enabled());
-        for _ in 0..3 {
-            for id in 0..10u64 {
-                c.handle_access(FileId(id));
-            }
-        }
-        assert_eq!(c.fast_path_hits(), 0);
-        assert!(c.lock_acquisitions() > 0);
-        c.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn fast_path_matches_slow_path_exactly() {
-        // Single-threaded bit-identity, including residency (MRU) order.
-        let fast = sharded(30, 3);
-        let slow = ShardedAggregatingCacheBuilder::new(30)
-            .shards(3)
-            .group_size(3)
-            .fast_path(false)
-            .build()
-            .unwrap();
-        assert!(fast.fast_path_enabled());
-        let mut state = 9u64;
-        for _ in 0..5000 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let file = FileId((state >> 33) % 60);
-            assert_eq!(fast.handle_access(file), slow.handle_access(file));
-        }
-        assert_eq!(fast.stats(), slow.stats());
-        assert_eq!(fast.group_stats(), slow.group_stats());
-        for i in 0..3 {
-            let order_fast: Vec<FileId> = fast.shard(i).residents().collect();
-            let order_slow: Vec<FileId> = slow.shard(i).residents().collect();
-            assert_eq!(order_fast, order_slow, "shard {i} residency order diverged");
-        }
-        fast.check_invariants().unwrap();
-        slow.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn ring_overflow_falls_back_to_locked_path() {
-        let c = sharded(40, 1);
-        c.handle_access(FileId(1));
-        // Push far more hits than the ring holds without any intervening
-        // locked operation: overflow must fall through, drain, and stay
-        // exact.
-        for _ in 0..(TOUCH_RING_SIZE * 3) {
-            assert_eq!(c.handle_access(FileId(1)), AccessOutcome::Hit);
-        }
-        let stats = c.stats();
-        assert_eq!(stats.accesses as usize, TOUCH_RING_SIZE * 3 + 1);
-        assert_eq!(stats.hits as usize, TOUCH_RING_SIZE * 3);
-        assert_eq!(stats.hits + stats.misses, stats.accesses);
-        c.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn unindexable_ids_bypass_the_fast_path() {
-        let c = sharded(40, 1);
-        let huge = FileId(u64::MAX - 3); // above FileId::MAX_PACKED48
-        c.handle_access(huge);
-        let locks_before = c.lock_acquisitions();
-        for _ in 0..5 {
-            assert_eq!(c.handle_access(huge), AccessOutcome::Hit);
-        }
-        assert!(c.lock_acquisitions() > locks_before);
-        assert_eq!(c.fast_path_hits(), 0);
-        assert_eq!(c.stats().hits, 5);
-        c.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn index_survives_eviction_churn_and_rebuilds() {
-        // Working set far larger than capacity: every miss evicts, so
-        // tombstones accumulate and force in-place rebuilds.
-        let c = sharded(12, 2);
-        let mut state = 77u64;
-        for _ in 0..4000 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            c.handle_access(FileId((state >> 33) % 300));
-        }
-        assert!(c.stats().evictions > 1000);
-        c.check_invariants().unwrap();
-    }
-
-    #[test]
     fn snapshot_is_one_consistent_cut() {
         let c = sharded(40, 4);
         for id in 0..100u64 {
@@ -1419,347 +889,36 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_fast_path_state() {
-        let c = sharded(40, 2);
-        for id in 0..30u64 {
-            c.handle_access(FileId(id % 10));
+    fn lock_accounting_counts_one_lock_per_operation() {
+        // The contract locks-per-access telemetry relies on: a delta
+        // between two snapshots, minus the later snapshot's own one
+        // acquisition per shard, counts the operations in between.
+        let c = sharded(40, 4);
+        let shards = c.shard_count() as u64;
+        let before = c.snapshot();
+        assert_eq!(before.lock_acquisitions, shards, "a snapshot counts itself");
+        for _ in 0..3 {
+            for id in 0..30u64 {
+                c.handle_access(FileId(id));
+            }
         }
-        assert!(c.fast_path_hits() > 0);
+        for id in 0..20u64 {
+            c.observe_metadata(FileId(id));
+        }
+        let after = c.snapshot();
+        assert!(after.stats.hits > 0 && after.stats.misses > 0);
+        assert_eq!(
+            after.lock_acquisitions - before.lock_acquisitions - shards,
+            90 + 20,
+            "every handle_access and observe_metadata takes exactly one lock"
+        );
+        assert_eq!(after.fast_path_hits, 0);
         c.clear();
-        assert_eq!(c.fast_path_hits(), 0);
-        assert!(c.is_empty());
-        c.check_invariants().unwrap();
-        // ...and the fast path still works after a clear.
-        c.handle_access(FileId(3));
-        assert_eq!(c.handle_access(FileId(3)), AccessOutcome::Hit);
-        assert_eq!(c.fast_path_hits(), 1);
-        c.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn concurrent_fast_path_keeps_counters_coherent() {
-        let c = sharded(64, 4);
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let c = &c;
-                scope.spawn(move || {
-                    for i in 0..2000u64 {
-                        c.handle_access(FileId((t * 13 + i) % 50));
-                    }
-                });
-            }
-        });
-        let stats = c.stats();
-        assert_eq!(stats.accesses, 8000);
-        assert_eq!(stats.hits + stats.misses, 8000);
-        assert!(c.fast_path_hits() > 0);
-        c.check_invariants().unwrap();
-    }
-}
-
-/// Deterministic interleaving scenarios for the lock-free fast path,
-/// explored under the `fgcache_model` shadow-memory runtime (see
-/// `fgcache_types::sync::model` and DESIGN.md §14). Each test rebuilds
-/// the structures inside the scenario closure so every explored
-/// schedule starts from identical state.
-#[cfg(all(test, feature = "fgcache_model"))]
-mod model_tests {
-    use super::*;
-    use fgcache_types::sync::model::{explore, ModelMutex, ModelOptions, Scope};
-    use std::sync::Mutex as LogMutex;
-
-    fn opts() -> ModelOptions {
-        ModelOptions::default()
-    }
-
-    /// Three distinct ids whose SplitMix64 hashes land in the same
-    /// bucket of a 16-slot table, so probe chains cross each other.
-    fn colliding_triple(mask: usize) -> (u64, u64, u64) {
-        let mut buckets: std::collections::HashMap<usize, Vec<u64>> = Default::default();
-        for id in 1..4096u64 {
-            let b = buckets.entry(mix64(id) as usize & mask).or_default();
-            b.push(id);
-            if b.len() == 3 {
-                return (b[0], b[1], b[2]);
-            }
-        }
-        unreachable!("4096 ids over {} buckets must collide", mask + 1)
-    }
-
-    /// Scenario (a): a fast-path reader racing a locked eviction of the
-    /// same id. The reader may transiently false-miss (it would then
-    /// take the locked path), but every touch it does enqueue is drained
-    /// exactly once — by the evictor or by the post-join sweep — and the
-    /// eviction is visible once the lock is released.
-    #[test]
-    fn model_fast_hit_races_locked_eviction() {
-        let report = explore(&opts(), |scope: &Scope| {
-            let index = ResidencyIndex::new(1);
-            let ring = TouchRing::new(2);
-            index.insert(FileId(7));
-            let residents = ModelMutex::new(vec![7u64]);
-            let pushed = LogMutex::new(Vec::new());
-            let drained = LogMutex::new(Vec::new());
-            let reader = || {
-                if index.contains(FileId(7)) && ring.push(7) {
-                    pushed.lock().expect("push log").push(7u64);
-                }
-            };
-            let evictor = || {
-                let mut resident = residents.lock();
-                while let Some(v) = ring.pop() {
-                    drained.lock().expect("drain log").push(v);
-                }
-                resident.retain(|&v| v != 7);
-                index.remove(FileId(7));
-            };
-            scope.threads(&[&reader, &evictor]);
-            assert!(
-                !index.contains(FileId(7)),
-                "eviction must be visible after the lock is released"
-            );
-            assert!(residents.lock().is_empty());
-            let mut all_drained = drained.lock().expect("drain log").clone();
-            while let Some(v) = ring.pop() {
-                all_drained.push(v); // detached touch left for the next drain
-            }
-            let pushed = pushed.lock().expect("push log").clone();
-            assert_eq!(
-                pushed, all_drained,
-                "every enqueued touch is drained exactly once, none lost"
-            );
-        });
-        assert!(report.schedules > 1, "scenario must actually interleave");
-    }
-
-    /// Scenario (b): the ring-full fallback racing the drain. A producer
-    /// hitting a full ring takes the locked path (drain, then apply
-    /// directly) while another thread drains under the same lock; every
-    /// touch is applied exactly once regardless of interleaving.
-    #[test]
-    fn model_ring_full_fallback_races_drain() {
-        explore(&opts(), |scope: &Scope| {
-            let ring = TouchRing::new(2);
-            assert!(ring.push(1) && ring.push(2), "setup fills the ring");
-            let applied = ModelMutex::new(Vec::<u64>::new());
-            let producer = || {
-                if !ring.push(3) {
-                    // Full: locked fallback drains first, then applies
-                    // the touch directly (mirrors handle_access).
-                    let mut log = applied.lock();
-                    while let Some(v) = ring.pop() {
-                        log.push(v);
-                    }
-                    log.push(3);
-                }
-            };
-            let drainer = || {
-                let mut log = applied.lock();
-                while let Some(v) = ring.pop() {
-                    log.push(v);
-                }
-            };
-            scope.threads(&[&producer, &drainer]);
-            let mut log = applied.lock().clone();
-            while let Some(v) = ring.pop() {
-                log.push(v); // push(3) won the race; still enqueued
-            }
-            log.sort_unstable();
-            assert_eq!(log, vec![1, 2, 3], "no touch lost or duplicated");
-        });
-    }
-
-    /// Scenario (c): generation-tag reuse across a tombstone rebuild. A
-    /// reader probes for an id that was never inserted while its bucket
-    /// neighbours go occupied → tombstone → reused-with-bumped-generation
-    /// → rebuilt. The reader must keep probing past tombstones and can
-    /// never false-hit the reused slot.
-    #[test]
-    fn model_generation_reuse_across_tombstone_rebuild() {
-        let opts = ModelOptions {
-            max_schedules: 500_000,
-            ..ModelOptions::default()
-        };
-        let index_for_mask = ResidencyIndex::new(1);
-        let (x, y, z) = colliding_triple(index_for_mask.mask);
-        explore(&opts, |scope: &Scope| {
-            let index = ResidencyIndex::new(1);
-            index.insert(FileId(x));
-            let lock = ModelMutex::new(());
-            let reader = || {
-                assert!(
-                    !index.contains(FileId(z)),
-                    "never-inserted id must never false-hit"
-                );
-                // Stale true and fresh false are both legal here.
-                let _ = index.contains(FileId(x));
-                assert!(!index.contains(FileId(z)));
-            };
-            let writer = || {
-                let _guard = lock.lock();
-                index.remove(FileId(x)); // tombstone, generation bumped
-                index.insert(FileId(y)); // reuses the tombstone slot
-                index.rebuild(std::iter::once(FileId(y)));
-            };
-            scope.threads(&[&reader, &writer]);
-            assert!(!index.contains(FileId(x)));
-            assert!(index.contains(FileId(y)));
-            assert!(!index.contains(FileId(z)));
-            assert_eq!(index.tombstones.load(Ordering::Relaxed), 0);
-        });
-    }
-
-    /// Scenario (d): the miss path applies removals (evicted set) before
-    /// insertions (fetched set), so an id in both sets — evicted and
-    /// immediately refetched — stays resident, and a reader never
-    /// false-misses an id that was untouched the whole time.
-    #[test]
-    fn model_removals_before_insertions_on_overlap() {
-        explore(&opts(), |scope: &Scope| {
-            let index = ResidencyIndex::new(1);
-            index.insert(FileId(1)); // untouched resident
-            index.insert(FileId(2)); // evicted and refetched (overlap)
-            let lock = ModelMutex::new(());
-            let miss_path = || {
-                let _guard = lock.lock();
-                index.remove(FileId(2));
-                index.insert(FileId(2));
-                index.insert(FileId(3));
-            };
-            let reader = || {
-                assert!(
-                    index.contains(FileId(1)),
-                    "id outside both sets never false-misses"
-                );
-                // Overlap id and freshly fetched id: transient misses
-                // are legal, false-hits of absent state are not.
-                let _ = index.contains(FileId(2));
-                let _ = index.contains(FileId(3));
-            };
-            scope.threads(&[&miss_path, &reader]);
-            assert!(index.contains(FileId(1)));
-            assert!(
-                index.contains(FileId(2)),
-                "overlapping evict+fetch must stay resident"
-            );
-            assert!(index.contains(FileId(3)));
-        });
-    }
-
-    /// `TouchRing::push` with the seeded ordering bug this PR's checker
-    /// must catch: the publication store of `seq` demoted from Release
-    /// to Relaxed. Everything else is a faithful copy of the real ring.
-    struct BuggyTouchRing {
-        slots: Vec<RingSlot>,
-        mask: u64,
-        head: AtomicU64,
-        tail: AtomicU64,
-    }
-
-    impl BuggyTouchRing {
-        fn new(size: usize) -> Self {
-            BuggyTouchRing {
-                slots: (0..size)
-                    .map(|i| RingSlot {
-                        seq: AtomicU64::new(i as u64),
-                        value: AtomicU64::new(0),
-                    })
-                    .collect(),
-                mask: (size - 1) as u64,
-                head: AtomicU64::new(0),
-                tail: AtomicU64::new(0),
-            }
-        }
-
-        fn push(&self, value: u64) -> bool {
-            let mut pos = self.head.load(Ordering::Relaxed);
-            loop {
-                let slot = &self.slots[(pos & self.mask) as usize];
-                let seq = slot.seq.load(Ordering::Acquire);
-                let diff = seq.wrapping_sub(pos) as i64;
-                if diff == 0 {
-                    match self.head.compare_exchange_weak(
-                        pos,
-                        pos.wrapping_add(1),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            slot.value.store(value, Ordering::Release);
-                            // SEEDED BUG: Release demoted to Relaxed, so
-                            // the consumer's Acquire load of seq gets no
-                            // happens-before edge to the value store.
-                            slot.seq.store(pos.wrapping_add(1), Ordering::Relaxed);
-                            return true;
-                        }
-                        Err(actual) => pos = actual,
-                    }
-                } else if diff < 0 {
-                    return false;
-                } else {
-                    pos = self.head.load(Ordering::Relaxed);
-                }
-            }
-        }
-
-        fn pop(&self) -> Option<u64> {
-            let pos = self.tail.load(Ordering::Relaxed);
-            let slot = &self.slots[(pos & self.mask) as usize];
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == pos.wrapping_add(1) {
-                let value = slot.value.load(Ordering::Acquire);
-                slot.seq
-                    .store(pos.wrapping_add(self.slots.len() as u64), Ordering::Release);
-                self.tail.store(pos.wrapping_add(1), Ordering::Relaxed);
-                Some(value)
-            } else {
-                None
-            }
-        }
-    }
-
-    /// Mutation M1: the explorer must find the schedule where the
-    /// consumer observes the Relaxed seq publication but reads the stale
-    /// slot value — i.e. the demotion is a real bug, not a style nit.
-    #[test]
-    #[should_panic(expected = "stale value read through a Relaxed publication")]
-    fn model_mutation_relaxed_publication_is_caught() {
-        explore(&opts(), |scope: &Scope| {
-            let ring = BuggyTouchRing::new(2);
-            let producer = || {
-                assert!(ring.push(42));
-            };
-            let consumer = || {
-                if let Some(v) = ring.pop() {
-                    assert_eq!(v, 42, "stale value read through a Relaxed publication");
-                }
-            };
-            scope.threads(&[&producer, &consumer]);
-        });
-    }
-
-    /// Mutation M2: flipping the miss path to insertions-before-removals
-    /// silently evicts an id that was both evicted and refetched — the
-    /// explorer (in fact even the sequential schedule) must catch it.
-    #[test]
-    #[should_panic(expected = "overlapping evict+fetch must stay resident")]
-    fn model_mutation_insertions_before_removals_is_caught() {
-        explore(&opts(), |scope: &Scope| {
-            let index = ResidencyIndex::new(1);
-            index.insert(FileId(2));
-            let lock = ModelMutex::new(());
-            let buggy_miss_path = || {
-                let _guard = lock.lock();
-                // SEEDED BUG: order flipped. insert() sees the id already
-                // present and returns, then remove() tombstones it.
-                index.insert(FileId(2));
-                index.remove(FileId(2));
-            };
-            scope.threads(&[&buggy_miss_path]);
-            assert!(
-                index.contains(FileId(2)),
-                "overlapping evict+fetch must stay resident"
-            );
-        });
+        assert_eq!(
+            c.snapshot().lock_acquisitions,
+            shards,
+            "clear resets the counter"
+        );
+        assert_eq!(c.snapshot().fast_path_hits, 0);
     }
 }

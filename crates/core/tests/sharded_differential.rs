@@ -1,6 +1,6 @@
 //! Differential fuzzer for the sharded aggregating cache.
 //!
-//! Two equivalences are pinned, with `check_invariants()` (the per-shard
+//! Three equivalences are pinned, with `check_invariants()` (the per-shard
 //! audits plus the cross-shard partition invariant) after every step:
 //!
 //! 1. **shards = 1 is bit-identical to `AggregatingCache`** — same
@@ -10,10 +10,9 @@
 //!    partitions** routed by the same hash with the same per-shard
 //!    capacity slices — the sharded composition adds concurrency, never
 //!    behaviour.
-//! 3. **The lock-light fast path is observably invisible** — every
-//!    config runs with the fast path enabled *and* disabled, and a
-//!    dedicated on-vs-off run pins identical outcomes, statistics and
-//!    final per-shard residency order.
+//! 3. **The uniform size/cost assigner is observably invisible** — the
+//!    sized code path replays bit-identically to the fixed-cost path,
+//!    residency order included.
 //!
 //! Everything is seeded. `ci.sh` (via `cargo xtask fuzz`) re-runs this
 //! suite over a bounded deterministic seed set by exporting
@@ -117,12 +116,11 @@ fn reference_partitions(cfg: &Config) -> Vec<AggregatingCache> {
 /// Runs one config for `ops` seeded operations against the reference
 /// composition, comparing outcome, residency, aggregate stats and
 /// invariants after every step.
-fn fuzz_sharded(cfg: &Config, ops: usize, seed: u64, fast_path: bool) {
+fn fuzz_sharded(cfg: &Config, ops: usize, seed: u64) {
     let sharded = ShardedAggregatingCacheBuilder::new(cfg.capacity)
         .shards(cfg.shards)
         .group_size(cfg.group_size)
         .insertion_policy(cfg.insertion)
-        .fast_path(fast_path)
         .build()
         .expect("fuzz config must be valid");
     let mut reference = reference_partitions(cfg);
@@ -132,7 +130,7 @@ fn fuzz_sharded(cfg: &Config, ops: usize, seed: u64, fast_path: bool) {
         let f = FileId(rng.gen_range_inclusive(0, universe));
         let ctx = |what: &str| {
             format!(
-                "capacity {} shards {} g {} {} fast_path {fast_path} seed {seed} step {step} file {f}: {what}",
+                "capacity {} shards {} g {} {} seed {seed} step {step} file {f}: {what}",
                 cfg.capacity, cfg.shards, cfg.group_size, cfg.insertion
             )
         };
@@ -189,9 +187,7 @@ fn fuzz_sharded(cfg: &Config, ops: usize, seed: u64, fast_path: bool) {
 fn sharded_matches_partitioned_reference() {
     for seed in seeds() {
         for cfg in &CONFIGS {
-            for fast_path in [false, true] {
-                fuzz_sharded(cfg, OPS, seed, fast_path);
-            }
+            fuzz_sharded(cfg, OPS, seed);
         }
     }
 }
@@ -202,51 +198,45 @@ fn sharded_matches_partitioned_reference() {
 #[test]
 fn single_shard_is_bit_identical_to_monolith() {
     for seed in seeds() {
-        for fast_path in [false, true] {
-            for (capacity, g, insertion) in [
-                (2, 2, InsertionPolicy::Head),
-                (3, 3, InsertionPolicy::Head),
-                (10, 4, InsertionPolicy::Tail),
-                (32, 5, InsertionPolicy::Tail),
-            ] {
-                let sharded = ShardedAggregatingCacheBuilder::new(capacity)
-                    .shards(1)
-                    .group_size(g)
-                    .insertion_policy(insertion)
-                    .fast_path(fast_path)
-                    .build()
-                    .expect("valid config");
-                let mut mono = AggregatingCacheBuilder::new(capacity)
-                    .group_size(g)
-                    .insertion_policy(insertion)
-                    .build()
-                    .expect("valid config");
-                let mut rng = SeededRng::new(seed);
-                let universe = (capacity as u64) * 3 + 8;
-                for step in 0..OPS {
-                    let f = FileId(rng.gen_range_inclusive(0, universe));
-                    let got = sharded.handle_access(f);
-                    let want = mono.handle_access(f);
-                    assert_eq!(
-                        want, got,
-                        "capacity {capacity} g {g} fast_path {fast_path} seed {seed} step {step} file {f}: diverged"
-                    );
-                    let order: Vec<FileId> = sharded.with_shard_of(f, |s| s.residents().collect());
-                    let mono_order: Vec<FileId> = mono.residents().collect();
-                    assert_eq!(
-                        mono_order, order,
-                        "residency order diverged at step {step} (fast_path {fast_path})"
-                    );
-                    sharded.check_invariants().expect("sharded invariants");
-                    mono.check_invariants().expect("monolith invariants");
-                }
-                assert_eq!(mono.stats(), &sharded.stats(), "stats diverged");
+        for (capacity, g, insertion) in [
+            (2, 2, InsertionPolicy::Head),
+            (3, 3, InsertionPolicy::Head),
+            (10, 4, InsertionPolicy::Tail),
+            (32, 5, InsertionPolicy::Tail),
+        ] {
+            let sharded = ShardedAggregatingCacheBuilder::new(capacity)
+                .shards(1)
+                .group_size(g)
+                .insertion_policy(insertion)
+                .build()
+                .expect("valid config");
+            let mut mono = AggregatingCacheBuilder::new(capacity)
+                .group_size(g)
+                .insertion_policy(insertion)
+                .build()
+                .expect("valid config");
+            let mut rng = SeededRng::new(seed);
+            let universe = (capacity as u64) * 3 + 8;
+            for step in 0..OPS {
+                let f = FileId(rng.gen_range_inclusive(0, universe));
+                let got = sharded.handle_access(f);
+                let want = mono.handle_access(f);
                 assert_eq!(
-                    mono.group_stats(),
-                    &sharded.group_stats(),
-                    "group stats diverged"
+                    want, got,
+                    "capacity {capacity} g {g} seed {seed} step {step} file {f}: diverged"
                 );
+                let order: Vec<FileId> = sharded.with_shard_of(f, |s| s.residents().collect());
+                let mono_order: Vec<FileId> = mono.residents().collect();
+                assert_eq!(mono_order, order, "residency order diverged at step {step}");
+                sharded.check_invariants().expect("sharded invariants");
+                mono.check_invariants().expect("monolith invariants");
             }
+            assert_eq!(mono.stats(), &sharded.stats(), "stats diverged");
+            assert_eq!(
+                mono.group_stats(),
+                &sharded.group_stats(),
+                "group stats diverged"
+            );
         }
     }
 }
@@ -261,132 +251,68 @@ fn single_shard_is_bit_identical_to_monolith() {
 fn uniform_sized_path_is_bit_identical_to_fixed_cost_path() {
     for seed in seeds() {
         for cfg in &CONFIGS {
-            for fast_path in [false, true] {
-                let legacy = ShardedAggregatingCacheBuilder::new(cfg.capacity)
-                    .shards(cfg.shards)
-                    .group_size(cfg.group_size)
-                    .insertion_policy(cfg.insertion)
-                    .fast_path(fast_path)
-                    .build()
-                    .expect("fuzz config must be valid");
-                let sized = ShardedAggregatingCacheBuilder::new(cfg.capacity)
-                    .shards(cfg.shards)
-                    .group_size(cfg.group_size)
-                    .insertion_policy(cfg.insertion)
-                    .fast_path(fast_path)
-                    .sizes(SizeCostAssigner::uniform())
-                    .build()
-                    .expect("fuzz config must be valid");
-                let mut rng = SeededRng::new(seed);
-                let universe = (cfg.capacity as u64) * 3 + 8;
-                for step in 0..OPS {
-                    let f = FileId(rng.gen_range_inclusive(0, universe));
-                    let ctx = |what: &str| {
-                        format!(
-                            "capacity {} shards {} g {} fast_path {fast_path} seed {seed} \
-                             step {step} file {f}: {what}",
-                            cfg.capacity, cfg.shards, cfg.group_size
-                        )
-                    };
-                    if rng.chance(0.9) {
-                        assert_eq!(
-                            legacy.handle_access(f),
-                            sized.handle_access(f),
-                            "{}",
-                            ctx("hit/miss outcome diverged")
-                        );
-                    } else {
-                        legacy.observe_metadata(f);
-                        sized.observe_metadata(f);
-                    }
-                    let order_legacy: Vec<FileId> =
-                        legacy.with_shard_of(f, |s| s.residents().collect());
-                    let order_sized: Vec<FileId> =
-                        sized.with_shard_of(f, |s| s.residents().collect());
-                    assert_eq!(
-                        order_legacy,
-                        order_sized,
-                        "{}",
-                        ctx("residency order diverged")
-                    );
-                    sized
-                        .check_invariants()
-                        .unwrap_or_else(|v| panic!("{}", ctx(&v.to_string())));
-                }
-                assert_eq!(
-                    legacy.stats(),
-                    sized.stats(),
-                    "stats diverged (seed {seed})"
-                );
-                let lg = legacy.group_stats();
-                let sg = sized.group_stats();
-                assert_eq!(lg.demand_fetches, sg.demand_fetches);
-                assert_eq!(lg.files_transferred, sg.files_transferred);
-                assert_eq!(lg.members_already_resident, sg.members_already_resident);
-                assert_eq!(
-                    sg.size_units_transferred, sg.files_transferred,
-                    "uniform files are one unit each"
-                );
-            }
-        }
-    }
-}
-
-/// The fast path is observably invisible: for every seed and config, a
-/// fast-path run and a locked-only run see the same per-access outcomes
-/// and end in the same statistics and the same per-shard MRU→LRU
-/// residency order.
-#[test]
-fn fast_path_on_equals_fast_path_off() {
-    for seed in seeds() {
-        for cfg in &CONFIGS {
-            let build = |fast: bool| {
-                ShardedAggregatingCacheBuilder::new(cfg.capacity)
-                    .shards(cfg.shards)
-                    .group_size(cfg.group_size)
-                    .insertion_policy(cfg.insertion)
-                    .fast_path(fast)
-                    .build()
-                    .expect("fuzz config must be valid")
-            };
-            let on = build(true);
-            let off = build(false);
+            let legacy = ShardedAggregatingCacheBuilder::new(cfg.capacity)
+                .shards(cfg.shards)
+                .group_size(cfg.group_size)
+                .insertion_policy(cfg.insertion)
+                .build()
+                .expect("fuzz config must be valid");
+            let sized = ShardedAggregatingCacheBuilder::new(cfg.capacity)
+                .shards(cfg.shards)
+                .group_size(cfg.group_size)
+                .insertion_policy(cfg.insertion)
+                .sizes(SizeCostAssigner::uniform())
+                .build()
+                .expect("fuzz config must be valid");
             let mut rng = SeededRng::new(seed);
             let universe = (cfg.capacity as u64) * 3 + 8;
             for step in 0..OPS {
                 let f = FileId(rng.gen_range_inclusive(0, universe));
+                let ctx = |what: &str| {
+                    format!(
+                        "capacity {} shards {} g {} seed {seed} \
+                         step {step} file {f}: {what}",
+                        cfg.capacity, cfg.shards, cfg.group_size
+                    )
+                };
                 if rng.chance(0.9) {
                     assert_eq!(
-                        on.handle_access(f),
-                        off.handle_access(f),
-                        "outcome diverged at step {step} (capacity {} shards {} seed {seed})",
-                        cfg.capacity,
-                        cfg.shards
+                        legacy.handle_access(f),
+                        sized.handle_access(f),
+                        "{}",
+                        ctx("hit/miss outcome diverged")
                     );
                 } else {
-                    on.observe_metadata(f);
-                    off.observe_metadata(f);
+                    legacy.observe_metadata(f);
+                    sized.observe_metadata(f);
                 }
-            }
-            assert_eq!(on.stats(), off.stats(), "stats diverged (seed {seed})");
-            assert_eq!(
-                on.group_stats(),
-                off.group_stats(),
-                "group stats diverged (seed {seed})"
-            );
-            assert_eq!(on.metadata_entries(), off.metadata_entries());
-            // Compare per-shard residency order via a probe file per shard.
-            for id in 0..universe {
-                let f = FileId(id);
-                let order_on: Vec<FileId> = on.with_shard_of(f, |s| s.residents().collect());
-                let order_off: Vec<FileId> = off.with_shard_of(f, |s| s.residents().collect());
+                let order_legacy: Vec<FileId> =
+                    legacy.with_shard_of(f, |s| s.residents().collect());
+                let order_sized: Vec<FileId> = sized.with_shard_of(f, |s| s.residents().collect());
                 assert_eq!(
-                    order_on, order_off,
-                    "residency order diverged on shard of {f} (seed {seed})"
+                    order_legacy,
+                    order_sized,
+                    "{}",
+                    ctx("residency order diverged")
                 );
+                sized
+                    .check_invariants()
+                    .unwrap_or_else(|v| panic!("{}", ctx(&v.to_string())));
             }
-            on.check_invariants().expect("fast-path invariants");
-            off.check_invariants().expect("locked-path invariants");
+            assert_eq!(
+                legacy.stats(),
+                sized.stats(),
+                "stats diverged (seed {seed})"
+            );
+            let lg = legacy.group_stats();
+            let sg = sized.group_stats();
+            assert_eq!(lg.demand_fetches, sg.demand_fetches);
+            assert_eq!(lg.files_transferred, sg.files_transferred);
+            assert_eq!(lg.members_already_resident, sg.members_already_resident);
+            assert_eq!(
+                sg.size_units_transferred, sg.files_transferred,
+                "uniform files are one unit each"
+            );
         }
     }
 }

@@ -30,7 +30,6 @@ pub mod json;
 pub mod math;
 pub mod rng;
 pub mod sizing;
-pub mod sync;
 
 pub use audit::InvariantViolation;
 pub use error::{ParseAccessKindError, TransportError, TransportErrorKind, ValidationError};
@@ -57,38 +56,10 @@ pub use sizing::{SizeCostAssigner, SizeDistribution};
 pub struct FileId(pub u64);
 
 impl FileId {
-    /// The largest id representable in a 48-bit packed word — see
-    /// [`FileId::packed48`].
-    pub const MAX_PACKED48: u64 = (1 << 48) - 1;
-
     /// Returns the raw numeric identifier.
     #[inline]
     pub fn as_u64(self) -> u64 {
         self.0
-    }
-
-    /// Returns the id as a 48-bit field for packed-word layouts (the
-    /// sharded residency index packs `[tag:2][gen:14][id:48]` into one
-    /// atomic `u64`), or `None` if the id does not fit in 48 bits.
-    ///
-    /// This is the *only* sanctioned way to narrow a file id: the
-    /// `xtask analyze` gate rejects truncating `as` casts on id values
-    /// in non-test code precisely so every narrowing goes through this
-    /// checked helper.
-    ///
-    /// ```
-    /// use fgcache_types::FileId;
-    /// assert_eq!(FileId(7).packed48(), Some(7));
-    /// assert_eq!(FileId(FileId::MAX_PACKED48).packed48(), Some(FileId::MAX_PACKED48));
-    /// assert_eq!(FileId(FileId::MAX_PACKED48 + 1).packed48(), None);
-    /// ```
-    #[inline]
-    pub fn packed48(self) -> Option<u64> {
-        if self.0 <= Self::MAX_PACKED48 {
-            Some(self.0)
-        } else {
-            None
-        }
     }
 }
 

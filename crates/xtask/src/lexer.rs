@@ -442,7 +442,7 @@ fn after() {}\n";
 
     #[test]
     fn strip_handles_cfg_all_test_feature() {
-        let src = "#[cfg(all(test, feature = \"fgcache_model\"))]\nmod model_tests { fn gated() {} }\nfn kept() {}\n";
+        let src = "#[cfg(all(test, feature = \"slow_tests\"))]\nmod slow_tests { fn gated() {} }\nfn kept() {}\n";
         let stripped = strip_test_code(&tokenize(src));
         let names = idents(&stripped);
         assert!(!names.contains(&"gated"));

@@ -2,11 +2,11 @@
 //!
 //! ```text
 //! cargo run -p xtask -- lint        # pure static checks, no cargo subprocesses
-//! cargo run -p xtask -- analyze     # atomics / lock-discipline passes (token-based)
+//! cargo run -p xtask -- analyze     # SeqCst / lock-order / id-narrowing passes (token-based)
 //! cargo run -p xtask -- fuzz        # differential fuzzers over the pinned seed set
 //! cargo run -p xtask -- fuzz --minutes N   # soak: fresh derived seeds until N minutes pass
 //! cargo run -p xtask -- bench-smoke [--threads N] # smoke benches → BENCH_*.json
-//! cargo run -p xtask -- ci [--miri] # fmt, clippy, lint, analyze, build, test, model suites, …
+//! cargo run -p xtask -- ci [--miri] # fmt, clippy, lint, analyze, build, test, smokes, fuzz, …
 //! ```
 //!
 //! `lint` enforces the hermetic-build policy without compiling anything:
@@ -47,30 +47,23 @@
 //! measurement; defaults to the host's available parallelism). It is a
 //! run-only gate otherwise: the numbers are recorded so the perf
 //! trajectory accumulates, but no wall-clock thresholds are enforced —
-//! the CI host is a single core, where wall-clock cannot show
-//! contention wins (locks/event can).
+//! on a shared host single wall-clock runs are noise; the exact
+//! counters (allocs/event, locks/event) are the stable signal.
 //!
-//! `analyze` is the concurrency-discipline gate, companion to the
-//! deterministic interleaving explorer in `fgcache_types::sync::model`
-//! (run under `--features fgcache_model`). It lexes every source file
-//! with the small tokenizer in [`lexer`] — so comments, strings and
-//! test-gated items are structurally excluded — and enforces:
+//! `analyze` is the concurrency-discipline gate. It lexes every source
+//! file with the small tokenizer in [`lexer`] — so comments, strings
+//! and test-gated items are structurally excluded — and enforces:
 //!
 //! 1. **`SeqCst` ban** — `Ordering::SeqCst` never appears in library
-//!    code, workspace-wide. Every ordering must say what it publishes
-//!    or acquires; a total order is never needed here and the model
-//!    runtime does not provide one.
-//! 2. **Atomics discipline** — in files that import the
-//!    `fgcache_types::sync` facade: atomic stores are `Release`, loads
-//!    are `Acquire`, and `Relaxed` is allowed only on the allowlisted
-//!    diagnostic/position counters (`head`, `tail`, `tombstones`,
-//!    `fast_hits`, `lock_acquisitions`).
-//! 3. **Ascending lock loops** — a loop that acquires shard locks must
+//!    code, workspace-wide. The atomics that remain (counters and flags
+//!    in `net`, `cluster` and `sim`) must say what they publish or
+//!    acquire; none of them needs a single total order.
+//! 2. **Ascending lock loops** — a loop that acquires shard locks must
 //!    not iterate in reverse (`.rev()`); the lock-order witness enforces
 //!    the same discipline at runtime in debug builds.
-//! 4. **Checked id narrowing** — no truncating `as` cast on u64 file
-//!    ids; 48-bit packing goes through `FileId::packed48()`, the one
-//!    checked helper.
+//! 3. **Checked id narrowing** — no truncating `as` cast on u64 file
+//!    ids; a narrower id must go through a checked conversion such as
+//!    `u32::try_from`.
 //!
 //! The lint and analyze checks are dependency-free (lexer included):
 //! the gate itself must not need anything the gate forbids.
@@ -275,8 +268,8 @@ fn fuzz_with_seeds(root: &Path, seeds: &str) -> ExitCode {
 /// if 256+ concurrent connections stop being byte-identical with the
 /// in-process oracle or RSS growth exceeds its bound — that part IS
 /// enforced. Wall-clock numbers are run-only: thresholds would be noise
-/// on a shared single-core host. `threads` forwards `--threads N` to
-/// the hot-path bench's multi-core scaling scenarios.
+/// on a shared host. `threads` forwards `--threads N` to the hot-path
+/// bench's multi-core scaling scenarios.
 fn bench_smoke(root: &Path, threads: Option<u64>) -> ExitCode {
     // The bench binaries' working directory is the package root, so the
     // JSON paths are made absolute to land at the workspace root.
@@ -323,7 +316,7 @@ fn bench_smoke(root: &Path, threads: Option<u64>) -> ExitCode {
 /// With `miri` true, adds the interpreter job (visibly skipped when the
 /// nightly Miri toolchain is not installed).
 fn ci(root: &Path, miri: bool) -> ExitCode {
-    let steps: [(&str, &[&str]); 6] = [
+    let steps: [(&str, &[&str]); 4] = [
         ("cargo fmt --check", &["fmt", "--check"]),
         (
             "cargo clippy --workspace --all-targets -- -D warnings",
@@ -341,29 +334,6 @@ fn ci(root: &Path, miri: bool) -> ExitCode {
             &["build", "--release", "--workspace"],
         ),
         ("cargo test -q --workspace", &["test", "-q", "--workspace"]),
-        (
-            "cargo test -q -p fgcache-types --features fgcache_model (interleaving explorer)",
-            &[
-                "test",
-                "-q",
-                "-p",
-                "fgcache-types",
-                "--features",
-                "fgcache_model",
-            ],
-        ),
-        (
-            "cargo test -q -p fgcache-core --features fgcache_model --lib (model scenarios)",
-            &[
-                "test",
-                "-q",
-                "-p",
-                "fgcache-core",
-                "--features",
-                "fgcache_model",
-                "--lib",
-            ],
-        ),
     ];
     // lint + analyze run between clippy and build, in-process.
     for (i, (label, cargo_args)) in steps.iter().enumerate() {
@@ -870,13 +840,12 @@ fn analyze(root: &Path) -> ExitCode {
     let members = workspace_members(root);
     let mut violations = Vec::new();
     check_seqcst_ban(&members, &mut violations);
-    check_atomics_discipline(&members, &mut violations);
     check_lock_loop_order(&members, &mut violations);
     check_id_narrowing(&members, &mut violations);
     if violations.is_empty() {
         println!(
-            "xtask analyze: {} crates clean (SeqCst ban, atomics discipline, \
-             ascending lock loops, checked id narrowing)",
+            "xtask analyze: {} crates clean (SeqCst ban, ascending lock loops, \
+             checked id narrowing)",
             members.len()
         );
         ExitCode::SUCCESS
@@ -888,29 +857,6 @@ fn analyze(root: &Path) -> ExitCode {
         ExitCode::FAILURE
     }
 }
-
-/// Diagnostic counters and ring position words where `Relaxed` is the
-/// documented, intended ordering (single-consumer positions are proven
-/// by the interleaving explorer; the counters are monotonic statistics
-/// read only after threads join).
-const RELAXED_ALLOWLIST: [&str; 5] = [
-    "head",
-    "tail",
-    "tombstones",
-    "fast_hits",
-    "lock_acquisitions",
-];
-
-/// Memory-ordering method names whose call sites the discipline pass
-/// inspects.
-const ATOMIC_METHODS: [&str; 6] = [
-    "load",
-    "store",
-    "fetch_add",
-    "fetch_sub",
-    "swap",
-    "compare_exchange",
-];
 
 /// Analyze check 1: the `SeqCst` ordering never appears in library
 /// code, in any crate. (The token text is assembled at runtime so the
@@ -939,139 +885,7 @@ fn check_seqcst_ban(members: &[Member], violations: &mut Vec<Violation>) {
     }
 }
 
-/// The receiver identifier of a method call whose `.` sits at token
-/// index `dot`: `self.head.load(..)` → `head`; `self.slots[pos].load(..)`
-/// → `slots` (the indexed collection). `None` when the receiver is not
-/// a simple field/identifier chain.
-fn receiver_name(tokens: &[Token], dot: usize) -> Option<String> {
-    let prev = dot.checked_sub(1)?;
-    let t = &tokens[prev];
-    if t.kind == TokenKind::Ident {
-        return Some(t.text.clone());
-    }
-    if t.is_punct(']') {
-        let open = match_backward(tokens, prev, '[', ']')?;
-        let before = tokens.get(open.checked_sub(1)?)?;
-        if before.kind == TokenKind::Ident {
-            return Some(before.text.clone());
-        }
-    }
-    if t.is_punct(')') {
-        let open = match_backward(tokens, prev, '(', ')')?;
-        let before = tokens.get(open.checked_sub(1)?)?;
-        if before.kind == TokenKind::Ident {
-            return Some(before.text.clone());
-        }
-    }
-    None
-}
-
-/// All `Ordering::X` variant names appearing between `open` and its
-/// matching close paren.
-fn orderings_in_call(tokens: &[Token], open: usize) -> Option<(Vec<String>, usize)> {
-    let close = match_forward(tokens, open, '(', ')')?;
-    let mut orderings = Vec::new();
-    let mut i = open + 1;
-    while i + 3 <= close {
-        if tokens[i].is_ident("Ordering")
-            && tokens[i + 1].is_punct(':')
-            && tokens[i + 2].is_punct(':')
-            && tokens[i + 3].kind == TokenKind::Ident
-        {
-            orderings.push(tokens[i + 3].text.clone());
-            i += 4;
-        } else {
-            i += 1;
-        }
-    }
-    Some((orderings, close))
-}
-
-/// Analyze check 2: atomics discipline in files importing the
-/// `fgcache_types::sync` facade — stores publish with `Release`, loads
-/// synchronize with `Acquire`, and `Relaxed` appears only on receivers
-/// in [`RELAXED_ALLOWLIST`].
-fn check_atomics_discipline(members: &[Member], violations: &mut Vec<Violation>) {
-    for member in members {
-        for file in rust_sources(&member.src_dir) {
-            let Ok(text) = fs::read_to_string(&file) else {
-                continue;
-            };
-            let tokens = code_tokens(&text);
-            let imports_facade = tokens.windows(4).any(|w| {
-                w[0].is_ident("fgcache_types")
-                    && w[1].is_punct(':')
-                    && w[2].is_punct(':')
-                    && w[3].is_ident("sync")
-            });
-            if !imports_facade {
-                continue;
-            }
-            scan_atomic_orderings(&file, &tokens, violations);
-        }
-    }
-}
-
-/// The ordering rules for one file's tokens (split out for fixtures).
-fn scan_atomic_orderings(file: &Path, tokens: &[Token], violations: &mut Vec<Violation>) {
-    for i in 0..tokens.len() {
-        if !tokens[i].is_punct('.') {
-            continue;
-        }
-        let Some(method) = tokens.get(i + 1) else {
-            continue;
-        };
-        if method.kind != TokenKind::Ident {
-            continue;
-        }
-        let name = method.text.trim_end_matches("_weak");
-        if !ATOMIC_METHODS.contains(&name) {
-            continue;
-        }
-        if !tokens.get(i + 2).is_some_and(|t| t.is_punct('(')) {
-            continue;
-        }
-        let Some((orderings, _)) = orderings_in_call(tokens, i + 2) else {
-            continue;
-        };
-        if orderings.is_empty() {
-            continue; // not an atomic call (e.g. Vec::swap)
-        }
-        let receiver = receiver_name(tokens, i);
-        let allowlisted = receiver
-            .as_deref()
-            .is_some_and(|r| RELAXED_ALLOWLIST.contains(&r));
-        let receiver_label = receiver.as_deref().unwrap_or("<expr>").to_string();
-        for ordering in &orderings {
-            let ok = match (name, ordering.as_str()) {
-                ("load", "Acquire") => true,
-                ("store", "Release") => true,
-                // RMWs that both read and publish.
-                ("fetch_add" | "fetch_sub" | "swap" | "compare_exchange", "Acquire")
-                | ("fetch_add" | "fetch_sub" | "swap" | "compare_exchange", "Release")
-                | ("fetch_add" | "fetch_sub" | "swap" | "compare_exchange", "AcqRel") => true,
-                (_, "Relaxed") => allowlisted,
-                _ => false,
-            };
-            if !ok {
-                violations.push(Violation {
-                    file: file.to_path_buf(),
-                    line: Some(method.line),
-                    message: format!(
-                        "`{receiver_label}.{}(… Ordering::{ordering} …)` breaks the atomics \
-                         discipline: stores publish with Release, loads synchronize with \
-                         Acquire; Relaxed is reserved for the allowlisted counters \
-                         ({})",
-                        method.text,
-                        RELAXED_ALLOWLIST.join(", ")
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// Analyze check 3: a loop body that acquires shard locks must not
+/// Analyze check 2: a loop body that acquires shard locks must not
 /// iterate in reverse. Ascending acquisition order is the deadlock-
 /// freedom discipline the runtime witness asserts in debug builds; a
 /// `.rev()` in the loop header with a `shard(...)` call in the body is
@@ -1131,10 +945,10 @@ const NARROWING_TARGETS: [&str; 9] = [
 /// Identifier names the id-narrowing rule treats as file ids.
 const ID_NAMES: [&str; 4] = ["id", "file", "fid", "file_id"];
 
-/// Analyze check 4: no truncating `as` cast on u64 file ids — flags
+/// Analyze check 3: no truncating `as` cast on u64 file ids — flags
 /// `….as_u64() as <narrow>`, `<id>.0 as <narrow>` and `<id> as
-/// <narrow>`. The one sanctioned narrowing is `FileId::packed48()`,
-/// which checks the 48-bit bound and returns `Option`.
+/// <narrow>`. A narrower id must go through a checked conversion such
+/// as `u32::try_from`, which fails instead of truncating.
 fn check_id_narrowing(members: &[Member], violations: &mut Vec<Violation>) {
     for member in members {
         for file in rust_sources(&member.src_dir) {
@@ -1186,8 +1000,8 @@ fn scan_id_narrowing(file: &Path, tokens: &[Token], violations: &mut Vec<Violati
                 file: file.to_path_buf(),
                 line: Some(target.line),
                 message: format!(
-                    "truncating `as {}` cast on a u64 file id — ids are 64-bit; 48-bit \
-                     packing must go through the checked `FileId::packed48()` helper",
+                    "truncating `as {}` cast on a u64 file id — ids are 64-bit; narrow \
+                     with a checked conversion such as `u32::try_from`",
                     target.text
                 ),
             });
@@ -1440,55 +1254,6 @@ use std::net::TcpStream;\n";
     }
 
     #[test]
-    fn atomics_discipline_accepts_the_documented_patterns() {
-        let src = "\
-use fgcache_types::sync::{AtomicU64, Ordering};\n\
-fn f(s: &Shard) {\n\
-    let _ = s.slots[0].load(Ordering::Acquire);\n\
-    s.slots[0].store(1, Ordering::Release);\n\
-    let _ = s.head.load(Ordering::Relaxed);\n\
-    s.tail.store(2, Ordering::Relaxed);\n\
-    s.fast_hits.fetch_add(1, Ordering::Relaxed);\n\
-    let _ = s.head.compare_exchange_weak(0, 1, Ordering::Relaxed, Ordering::Relaxed);\n\
-}\n";
-        let v = scan_fixture(src, scan_atomic_orderings);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn atomics_discipline_flags_relaxed_outside_the_allowlist() {
-        let src = "\
-use fgcache_types::sync::{AtomicU64, Ordering};\n\
-fn f(s: &Shard) {\n\
-    let _ = s.slots[0].load(Ordering::Relaxed);\n\
-    s.value.store(1, Ordering::Relaxed);\n\
-}\n";
-        let v = scan_fixture(src, scan_atomic_orderings);
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert_eq!(v[0].line, Some(3));
-        assert_eq!(v[1].line, Some(4));
-        assert!(v[0].to_string().contains("atomics discipline"));
-    }
-
-    #[test]
-    fn atomics_discipline_is_scoped_to_facade_importers() {
-        // Same violations, but the file does not import the facade:
-        // the discipline pass must not fire (check_atomics_discipline
-        // applies the scope test before scanning).
-        let src = "\
-use std::sync::atomic::{AtomicU64, Ordering};\n\
-fn f(s: &Shard) { let _ = s.value.load(Ordering::Relaxed); }\n";
-        let tokens = code_tokens(src);
-        let imports_facade = tokens.windows(4).any(|w| {
-            w[0].is_ident("fgcache_types")
-                && w[1].is_punct(':')
-                && w[2].is_punct(':')
-                && w[3].is_ident("sync")
-        });
-        assert!(!imports_facade);
-    }
-
-    #[test]
     fn lock_loop_order_flags_reverse_iteration() {
         let src = "\
 fn snapshot(&self) {\n\
@@ -1527,17 +1292,17 @@ fn f(file: FileId, id: u64) {\n\
 }\n";
         let v = scan_fixture(src, scan_id_narrowing);
         assert_eq!(v.len(), 3, "{v:?}");
-        assert!(v[0].to_string().contains("packed48"));
+        assert!(v[0].to_string().contains("u32::try_from"));
     }
 
     #[test]
-    fn id_narrowing_accepts_hashes_and_checked_helper() {
+    fn id_narrowing_accepts_hashes_and_checked_conversion() {
         let src = "\
-fn f(file: FileId, id: u64) -> Option<u64> {\n\
+fn f(file: FileId, id: u64) -> Option<u32> {\n\
     let pos = mix64(id) as usize;\n\
     let n = values.len() as u32;\n\
     let d = seq.wrapping_sub(pos) as i64;\n\
-    file.packed48()\n\
+    u32::try_from(file.as_u64()).ok()\n\
 }\n";
         let v = scan_fixture(src, scan_id_narrowing);
         assert!(v.is_empty(), "{v:?}");
@@ -1549,7 +1314,6 @@ fn f(file: FileId, id: u64) -> Option<u64> {\n\
         let members = workspace_members(&root);
         let mut violations = Vec::new();
         check_seqcst_ban(&members, &mut violations);
-        check_atomics_discipline(&members, &mut violations);
         check_lock_loop_order(&members, &mut violations);
         check_id_narrowing(&members, &mut violations);
         let rendered: Vec<String> = violations.iter().map(Violation::to_string).collect();
