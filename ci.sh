@@ -37,8 +37,9 @@ echo "==> loopback smoke: bench-net differential check (byte-exact vs in-process
 ./target/release/fgcache bench-net --loopback true --clients 2 --events 2000 \
     --capacity 200 --shards 2 --batch 1,8 --seed 2002
 
-echo "==> cluster smoke: 3-process TCP fleet with mid-replay join/leave (byte-exact vs oracle)"
-./target/release/fgcache bench-cluster --nodes 3 --events 6000 --seed 2002
+echo "==> cluster smoke: 3-process TCP fleet with mid-replay join/leave (byte-exact vs oracle,"
+echo "    30 s limit: it takes well under a second unless the server sleep-polls again)"
+timeout 30 ./target/release/fgcache bench-cluster --nodes 3 --events 6000 --seed 2002
 
 echo "==> planner validation: Che prediction vs streamed LRU simulator (2pp tolerance gate)"
 ./target/release/fgcache plan --validate true --events 10000000 --seed 2002

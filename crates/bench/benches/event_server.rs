@@ -8,7 +8,7 @@
 //! * the active replay's server-side cache statistics are byte-identical
 //!   to the same replay executed in process with `DirectTransport`;
 //! * every idle connection is still live afterwards and returns the
-//!   same `StatsReply` bytes (served through the full event loop);
+//!   same `StatsReply` bytes (served through its connection thread);
 //! * the wire scratch paths (`encode_into` / `decode_fetch_into`) are
 //!   allocation-free in steady state, measured by this binary's counting
 //!   global allocator;
@@ -263,7 +263,7 @@ fn main() {
 
     // Every idle connection is still alive and served: its StatsReply
     // must match every other's, byte for byte (same counters, same
-    // wire round trip through the event loop).
+    // wire round trip through each connection's thread).
     let expected = idle[0].server_stats().expect("idle stats");
     for client in idle.iter_mut().skip(1) {
         let got = client.server_stats().expect("idle stats");

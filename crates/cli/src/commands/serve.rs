@@ -30,7 +30,7 @@ use fgcache_net::{BoundServer, NetClient, Transport};
 
 use crate::args::Args;
 
-/// Validates the event-loop sizing flags: both are hard bounds the
+/// Validates the serving-limit flags: both are hard bounds the
 /// server relies on, so zero is a configuration error, not a "no limit".
 pub(crate) fn validate_serving_limits(
     max_conns: usize,

@@ -48,8 +48,9 @@ COMMANDS:
                --validate true replays the planner against the streamed
                simulator (CI gate), --compare-grouping true measures
                where group fetching beats the analytic LRU bound
-    serve      run an event-driven TCP group-fetch server over a sharded
-               cache (--max-conns/--workers size the event loop;
+    serve      run a TCP group-fetch server over a sharded cache, one
+               thread per connection (--max-conns caps connections,
+               --workers caps fetches executing at once;
                --node-id/--peers turn it into one cluster node)
     bench-net  loopback TCP differential check + batch-pipelining sweep
     bench-cluster  multi-process TCP cluster smoke vs a single-process

@@ -17,10 +17,10 @@
 //!    adds bounded exponential backoff. The decorators compose:
 //!    `Retrying(Faulty(Sim))` is the fault-injection test rig.
 //! 3. **A real TCP path**: a length-prefixed binary [wire protocol](wire),
-//!    an event-driven [`BoundServer`] ([`server`]) wrapping a
+//!    a blocking [`BoundServer`] ([`server`]) wrapping a
 //!    [`ShardedAggregatingCache`](fgcache_core::ShardedAggregatingCache)
-//!    behind a readiness loop and a bounded worker pool, and a pooled
-//!    [`NetClient`] ([`client`]).
+//!    with one thread per connection, and a pooled [`NetClient`]
+//!    ([`client`]).
 //!
 //! # Idempotency by request id
 //!
@@ -75,10 +75,7 @@ pub use client::NetClient;
 pub use dedup::{ReplyCache, DEFAULT_REPLY_CACHE_CAPACITY};
 pub use fault::{FaultConfig, FaultStats, FaultyTransport};
 pub use retry::{RetryPolicy, RetryingTransport};
-pub use server::{
-    BoundServer, ServeBackend, ServerHandle, DEFAULT_MAX_CONNS, DEFAULT_MAX_OUTBOUND_BYTES,
-    DEFAULT_MAX_PENDING, DEFAULT_WORKERS,
-};
+pub use server::{BoundServer, ServeBackend, ServerHandle, DEFAULT_MAX_CONNS, DEFAULT_WORKERS};
 pub use sim::{SimBackend, SimTransport};
 pub use transport::{
     request_id, DirectTransport, FileReply, GroupReply, GroupRequest, Transport, TransportStats,

@@ -1,4 +1,4 @@
-//! An event-driven TCP group-fetch server over any [`ServeBackend`].
+//! A blocking TCP group-fetch server over any [`ServeBackend`].
 //!
 //! [`BoundServer::bind`] takes an address (use port 0 for an ephemeral
 //! loopback port) and a shared [`ShardedAggregatingCache`];
@@ -8,62 +8,61 @@
 //!
 //! # Architecture
 //!
-//! One **readiness loop** owns every socket. The listener and all
-//! connections are nonblocking; each loop iteration accepts new
-//! connections (up to [`DEFAULT_MAX_CONNS`] or the
-//! [`BoundServer::with_max_conns`] override), collects finished work,
-//! flushes partially-written replies, and reads whatever bytes have
-//! arrived, reassembling frames with a per-connection partial-read state
-//! machine. Connection count is no longer bounded by thread count and an
-//! idle connection costs a few hundred bytes, not a stack.
+//! One **accept loop** blocks in `accept` and gives every connection a
+//! scoped thread of its own. While [`DEFAULT_MAX_CONNS`] (or the
+//! [`BoundServer::with_max_conns`] override) connections are live it
+//! waits on a condition variable until one closes; connections beyond
+//! the cap wait in the kernel backlog, deferred rather than refused.
 //!
-//! Decoded requests are handed to a **bounded worker pool** (a
-//! `Mutex<VecDeque>` + `Condvar` job queue; [`DEFAULT_WORKERS`] threads
-//! by default) so group fetches execute off the I/O loop. Workers may
-//! finish out of order, so every inbound frame gets a per-connection
-//! sequence number and completions sit in a small reorder buffer until
-//! they can be released *in request order* — the pipelined client matches
-//! replies to requests positionally, and that contract survives the
-//! worker pool.
+//! A **connection thread** reads a frame with blocking reads through a
+//! small reused buffer, executes it, and writes the reply before it
+//! reads the next frame. Replies therefore leave in request order (the
+//! pipelined client matches them by position), a frame split across any
+//! number of segments is reassembled by `read_exact`, and a peer that
+//! half-closes still gets every reply it is owed. Backpressure is per
+//! connection: a peer that stops reading blocks its own thread in
+//! `write`, that thread stops reading the peer's socket, and every
+//! other connection proceeds untouched.
 //!
-//! # Backpressure
+//! Nothing polls. Every blocked thread is woken by the kernel the moment
+//! its bytes arrive, so a frame pays no sleep on any hop.
 //!
-//! Per connection, two bounds gate *reading* (never writing): at most
-//! [`DEFAULT_MAX_PENDING`] requests may be in flight, and at most
-//! [`DEFAULT_MAX_OUTBOUND_BYTES`] reply bytes may sit unwritten. A slow
-//! reader's connection simply stops being read — its bytes stay in kernel
-//! buffers and the peer's send window closes — while every other
-//! connection proceeds untouched. Queued replies are always released and
-//! flushed, so total buffered output per connection is bounded by the
-//! outbound cap plus the replies to the (capped) in-flight requests.
+//! # Execution bound
+//!
+//! At most [`DEFAULT_WORKERS`] (or the [`BoundServer::with_workers`]
+//! override) fetches execute at once. `FetchOwned` frames bypass the
+//! bound: a cluster owner answers them from its own cache without waiting
+//! on a peer, and queueing them behind fetches that *are* waiting on a
+//! peer would let two nodes that proxy to each other stall each other.
 //!
 //! # Exactly-once fetches
 //!
-//! Unchanged from the thread-per-connection server: all connections share
-//! one [`ReplyCache`] behind a mutex, and for backends that
-//! [serialise](ServeBackend::serializes_execution) a fetch executes
-//! *while holding it* — a retry racing its original request, possibly on
-//! a different pooled connection or a different worker, either finds the
+//! All connections share one [`ReplyCache`] behind a mutex, and for
+//! backends that [serialise](ServeBackend::serializes_execution) a fetch
+//! executes *while holding it* — a retry racing its original request,
+//! possibly on a different pooled connection, either finds the
 //! remembered reply or blocks until the original finishes, never
 //! double-executing. Backends that deduplicate internally (a cluster
 //! node, whose fetches may block on a *peer's* server) execute outside
-//! the lock, exactly as before.
+//! the lock.
 //!
 //! # Shutdown
 //!
-//! Stopping is cooperative: a client sends `Shutdown` (or the owner calls
-//! [`ServerHandle::stop`], or sets the [`BoundServer::shutdown_flag`]).
-//! The loop then stops accepting and stops reading, drains in-flight jobs
-//! and flushes every queued reply (bounded by a two-second drain
-//! deadline), closes the job queue so the workers exit, and returns. The
-//! `ShutdownAck` is sequenced like any reply, so it is delivered after
-//! every reply the same connection pipelined ahead of it.
+//! A client sends `Shutdown`, or the owner calls [`ServerHandle::stop`].
+//! Either sets the stop flag and wakes the accept loop by connecting to
+//! the listener (through loopback if it is bound to an unspecified
+//! address). The loop closes the listener, shuts down the read half of
+//! every live connection and waits for their threads, bounded by a
+//! two-second drain deadline past which the remaining sockets are shut
+//! down outright. A thread mid-frame finishes it and writes the reply
+//! before it reads end-of-stream, so every frame the server read is
+//! answered. The `ShutdownAck` follows every reply its connection
+//! pipelined ahead of it.
 
-use std::collections::VecDeque;
-use std::io::{ErrorKind, Read as _, Write as _};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::collections::HashMap;
+use std::io::{BufReader, ErrorKind, Read as _, Write as _};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -75,45 +74,29 @@ use crate::transport::{FileReply, GroupReply};
 use crate::wire::{decode_fetch_into, Message, WireStats, MAX_FRAME_LEN};
 
 /// Default hard cap on concurrently-held connections; accepts beyond it
-/// are deferred to the kernel backlog until a slot frees.
+/// are deferred to the kernel backlog until a connection closes.
 pub const DEFAULT_MAX_CONNS: usize = 1024;
 
-/// Default worker-pool size (threads executing fetches off the I/O loop).
+/// Default bound on fetches executing at once (`FetchOwned` frames are
+/// exempt; see the [module docs](self)).
 pub const DEFAULT_WORKERS: usize = 4;
 
-/// Default per-connection bound on requests in flight (dispatched but not
-/// yet released to the write buffer). Reading stops at the bound.
-pub const DEFAULT_MAX_PENDING: usize = 128;
-
-/// Default per-connection bound on unwritten reply bytes. Reading stops
-/// at the bound; see the [module docs](self) for the true total bound.
-pub const DEFAULT_MAX_OUTBOUND_BYTES: usize = 256 * 1024;
-
-/// How long the loop sleeps per iteration once fully idle (after a few
-/// plain yields); bounds added latency for the first frame after a lull.
-const IDLE_SLEEP: Duration = Duration::from_micros(500);
-
-/// Idle iterations spent on `yield_now` before sleeping — on a busy or
-/// single-core host this hands the CPU straight to the workers.
-const YIELD_SPINS: u32 = 4;
-
-/// A connection with no recent activity is scanned for readable bytes
-/// only every this-many iterations, so hundreds of idle connections cost
-/// a handful of read syscalls per iteration instead of one each.
-const COLD_SCAN_PERIOD: u64 = 32;
-
-/// Iterations of "hot" status granted by any progress on a connection.
-const HOT_ITERS: u64 = 64;
-
-/// Upper bound on the shutdown drain (in-flight jobs + queued replies).
+/// Upper bound on the shutdown drain.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Cap on pooled scratch buffers retained for reuse.
-const POOL_CAP: usize = 256;
+/// Per-connection read buffer. It holds a typical frame (and a few
+/// pipelined ones), so a frame usually costs one `read`.
+const READ_BUF_BYTES: usize = 4 * 1024;
 
-/// Compact the write buffer once this many flushed bytes accumulate at
-/// its front.
-const COMPACT_THRESHOLD: usize = 32 * 1024;
+/// Pause after a failed `accept` (out of descriptors, say) before the
+/// next attempt.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
+
+/// How long a stop request tries to connect to its own listener.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Name of every connection thread (as `top -H` shows it).
+const CONN_THREAD_NAME: &str = "fgcache-conn";
 
 /// What a [`BoundServer`] serves fetches from: a plain cache or anything
 /// cache-shaped (a cluster node that routes to peers, say). The server
@@ -192,12 +175,10 @@ impl ServeBackend for ShardedAggregatingCache {
 pub struct BoundServer {
     listener: TcpListener,
     backend: Arc<dyn ServeBackend>,
-    shutdown: Arc<AtomicBool>,
+    control: Arc<Control>,
     dedup_capacity: usize,
     max_conns: usize,
     workers: usize,
-    max_pending: usize,
-    max_outbound: usize,
 }
 
 impl std::fmt::Debug for BoundServer {
@@ -233,15 +214,14 @@ impl BoundServer {
         backend: Arc<impl ServeBackend + 'static>,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
+        let control = Arc::new(Control::new(wake_addr(listener.local_addr()?)));
         Ok(BoundServer {
             listener,
             backend,
-            shutdown: Arc::new(AtomicBool::new(false)),
+            control,
             dedup_capacity: DEFAULT_REPLY_CACHE_CAPACITY,
             max_conns: DEFAULT_MAX_CONNS,
             workers: DEFAULT_WORKERS,
-            max_pending: DEFAULT_MAX_PENDING,
-            max_outbound: DEFAULT_MAX_OUTBOUND_BYTES,
         })
     }
 
@@ -254,26 +234,20 @@ impl BoundServer {
     }
 
     /// Overrides the connection cap (clamped to at least 1). Accepts
-    /// beyond the cap wait in the kernel backlog until a slot frees.
+    /// beyond the cap wait in the kernel backlog until a connection
+    /// closes.
     #[must_use]
     pub fn with_max_conns(mut self, max_conns: usize) -> Self {
         self.max_conns = max_conns.max(1);
         self
     }
 
-    /// Overrides the worker-pool size (clamped to at least 1).
+    /// Overrides the bound on fetches executing at once (clamped to at
+    /// least 1). `FetchOwned` frames are exempt; see the
+    /// [module docs](self).
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Overrides the per-connection backpressure bounds (each clamped to
-    /// at least 1): requests in flight, and unwritten reply bytes.
-    #[must_use]
-    pub fn with_queue_limits(mut self, max_pending: usize, max_outbound_bytes: usize) -> Self {
-        self.max_pending = max_pending.max(1);
-        self.max_outbound = max_outbound_bytes.max(1);
         self
     }
 
@@ -285,53 +259,27 @@ impl BoundServer {
             .unwrap_or_else(|_| "unknown".to_string())
     }
 
-    /// The shared shutdown flag (for embedding the server under an
-    /// external signal handler).
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
-    }
-
-    /// Runs the readiness loop on the calling thread until shut down,
-    /// with the worker pool on scoped threads beside it.
+    /// Serves on the calling thread until shut down, with one scoped
+    /// thread per connection beside it.
     pub fn run(self) {
         let BoundServer {
             listener,
             backend,
-            shutdown,
+            control,
             dedup_capacity,
             max_conns,
             workers,
-            max_pending,
-            max_outbound,
         } = self;
-        if listener.set_nonblocking(true).is_err() {
-            return; // cannot serve readiness-style without it
-        }
-        let dedup = Mutex::new(ReplyCache::new(dedup_capacity));
-        let shared = Shared::new();
-        let backend = &*backend;
-        let shutdown = &*shutdown;
-        let dedup = &dedup;
+        let shared = Shared {
+            backend: &*backend,
+            dedup: Mutex::new(ReplyCache::new(dedup_capacity)),
+            control: &control,
+            permits: Permits::new(workers),
+        };
         let shared = &shared;
         thread::scope(|scope| {
-            for _ in 0..workers.max(1) {
-                scope.spawn(move || worker_loop(shared, backend, dedup));
-            }
-            let mut event_loop = EventLoop {
-                listener,
-                slots: Vec::new(),
-                free: Vec::new(),
-                live: 0,
-                iter: 0,
-                max_conns: max_conns.max(1),
-                max_pending: max_pending.max(1),
-                max_outbound: max_outbound.max(1),
-            };
-            event_loop.run(shared, shutdown);
-            // Unblock the workers so the scope can join them. Jobs still
-            // queued (only possible past the drain deadline) are executed
-            // and their completions dropped.
-            shared.close();
+            accept_loop(listener, max_conns, shared, scope);
+            control.drain();
         });
     }
 
@@ -339,11 +287,11 @@ impl BoundServer {
     /// can stop it.
     pub fn spawn(self) -> ServerHandle {
         let addr = self.local_addr();
-        let shutdown = Arc::clone(&self.shutdown);
+        let control = Arc::clone(&self.control);
         let join = thread::spawn(move || self.run());
         ServerHandle {
             addr,
-            shutdown,
+            control,
             join,
         }
     }
@@ -353,7 +301,7 @@ impl BoundServer {
 #[derive(Debug)]
 pub struct ServerHandle {
     addr: String,
-    shutdown: Arc<AtomicBool>,
+    control: Arc<Control>,
     join: thread::JoinHandle<()>,
 }
 
@@ -363,695 +311,314 @@ impl ServerHandle {
         &self.addr
     }
 
-    /// Stops the server: sets the flag, waits for the loop to drain
-    /// in-flight replies and the workers to exit.
+    /// Stops the server and waits until every connection thread has
+    /// finished (see the [module docs](self) for the drain).
     pub fn stop(self) {
-        self.shutdown.store(true, Ordering::Release);
+        self.control.stop();
         self.join.join().expect("server thread panicked");
     }
 }
 
-/// One unit of backend work, tagged with enough to route its completion:
-/// connection slot, that slot's generation (stale completions for a
-/// reused slot are discarded), and the per-connection sequence number
-/// that fixes the reply's position in the outbound order.
-struct Job {
-    slot: usize,
-    generation: u64,
-    seq: u64,
-    kind: JobKind,
-}
-
-enum JobKind {
-    Fetch {
-        request_id: u64,
-        files: Vec<FileId>,
-        owned: bool,
-    },
-    Stats {
-        request_id: u64,
-    },
-    ClusterUpdate {
-        request_id: u64,
-        epoch: u64,
-        members: Vec<(u64, String)>,
-    },
-}
-
-/// A finished job: the encoded reply frame, routed by slot + generation.
-struct Done {
-    slot: usize,
-    generation: u64,
-    seq: u64,
-    frame: Vec<u8>,
-}
-
-struct JobQueue {
-    queue: VecDeque<Job>,
-    closed: bool,
-}
-
-/// State shared between the readiness loop and the worker pool: the job
-/// queue, the completion queue, and scratch-buffer pools that keep the
-/// per-frame steady state allocation-free.
-struct Shared {
-    jobs: Mutex<JobQueue>,
-    jobs_ready: Condvar,
-    done: Mutex<Vec<Done>>,
-    frame_bufs: Mutex<Vec<Vec<u8>>>,
-    file_bufs: Mutex<Vec<Vec<FileId>>>,
-}
-
-impl Shared {
-    fn new() -> Self {
-        Shared {
-            jobs: Mutex::new(JobQueue {
-                queue: VecDeque::new(),
-                closed: false,
-            }),
-            jobs_ready: Condvar::new(),
-            done: Mutex::new(Vec::new()),
-            frame_bufs: Mutex::new(Vec::new()),
-            file_bufs: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn push_job(&self, job: Job) {
-        self.lock_jobs().queue.push_back(job);
-        self.jobs_ready.notify_one();
-    }
-
-    /// Blocks for the next job; `None` once the queue is closed *and*
-    /// empty (remaining jobs are still drained after close).
-    fn next_job(&self) -> Option<Job> {
-        let mut guard = self.lock_jobs();
-        loop {
-            if let Some(job) = guard.queue.pop_front() {
-                return Some(job);
-            }
-            if guard.closed {
-                return None;
-            }
-            guard = self
-                .jobs_ready
-                .wait(guard)
-                .expect("a worker panicked while holding the job queue");
-        }
-    }
-
-    fn close(&self) {
-        self.lock_jobs().closed = true;
-        self.jobs_ready.notify_all();
-    }
-
-    fn lock_jobs(&self) -> MutexGuard<'_, JobQueue> {
-        self.jobs
-            .lock()
-            .expect("a worker panicked while holding the job queue")
-    }
-
-    fn push_done(&self, done: Done) {
-        self.done
-            .lock()
-            .expect("the server loop panicked while holding the completion queue")
-            .push(done);
-    }
-
-    /// Swaps the completion queue into `into` (reusing its storage).
-    fn drain_done(&self, into: &mut Vec<Done>) {
-        into.clear();
-        let mut guard = self
-            .done
-            .lock()
-            .expect("a worker panicked while holding the completion queue");
-        std::mem::swap(&mut *guard, into);
-    }
-
-    fn take_frame_buf(&self) -> Vec<u8> {
-        self.frame_bufs
-            .lock()
-            .expect("scratch pool poisoned")
-            .pop()
-            .unwrap_or_default()
-    }
-
-    fn recycle_frame_buf(&self, mut buf: Vec<u8>) {
-        buf.clear();
-        let mut pool = self.frame_bufs.lock().expect("scratch pool poisoned");
-        if pool.len() < POOL_CAP {
-            pool.push(buf);
-        }
-    }
-
-    fn take_file_buf(&self) -> Vec<FileId> {
-        self.file_bufs
-            .lock()
-            .expect("scratch pool poisoned")
-            .pop()
-            .unwrap_or_default()
-    }
-
-    fn recycle_file_buf(&self, mut buf: Vec<FileId>) {
-        buf.clear();
-        let mut pool = self.file_bufs.lock().expect("scratch pool poisoned");
-        if pool.len() < POOL_CAP {
-            pool.push(buf);
-        }
-    }
-}
-
-/// One worker: pops jobs, executes them against the backend (with the
-/// same exactly-once discipline as ever — see [`serve_fetch`]), encodes
-/// the reply into a pooled buffer, and posts the completion.
-fn worker_loop(shared: &Shared, backend: &dyn ServeBackend, dedup: &Mutex<ReplyCache>) {
-    while let Some(job) = shared.next_job() {
-        let reply = match job.kind {
-            JobKind::Fetch {
-                request_id,
-                files,
-                owned,
-            } => {
-                let reply = serve_fetch(backend, dedup, request_id, &files, owned);
-                shared.recycle_file_buf(files);
-                Message::FetchReply {
-                    request_id: reply.request_id,
-                    files: reply.files,
-                }
-            }
-            JobKind::Stats { request_id } => {
-                let mut stats = backend.wire_stats();
-                stats.reply_cache_hits += lock_dedup(dedup).hits();
-                Message::StatsReply { request_id, stats }
-            }
-            JobKind::ClusterUpdate {
-                request_id,
-                epoch,
-                members,
-            } => match backend.apply_cluster_update(epoch, &members) {
-                Ok(held) => Message::ClusterUpdateAck {
-                    request_id,
-                    epoch: held,
-                },
-                Err(reason) => Message::Error {
-                    request_id,
-                    message: reason,
-                },
-            },
-        };
-        let mut frame = shared.take_frame_buf();
-        reply.encode_into(&mut frame);
-        shared.push_done(Done {
-            slot: job.slot,
-            generation: job.generation,
-            seq: job.seq,
-            frame,
+/// Where a stop request connects to wake a blocked `accept`: the
+/// listener's own address, through loopback when it is unspecified.
+fn wake_addr(mut bound: SocketAddr) -> SocketAddr {
+    if bound.ip().is_unspecified() {
+        bound.set_ip(match bound {
+            SocketAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            SocketAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
         });
     }
+    bound
 }
 
-/// Partial-read state: a frame header or body may arrive split across
-/// any number of reads (down to one byte each) and is reassembled here.
-enum ReadPhase {
-    /// Collecting the 4-byte length prefix.
-    Header { filled: usize },
-    /// Collecting `len` payload bytes.
-    Payload { filled: usize, len: usize },
+/// The connection table and stop flag, shared by the accept loop, the
+/// connection threads and the [`ServerHandle`].
+#[derive(Debug)]
+struct Control {
+    conns: Mutex<Conns>,
+    /// Signalled when a connection closes or a stop is requested.
+    changed: Condvar,
+    wake_addr: SocketAddr,
 }
 
-/// Per-connection state owned by the readiness loop.
-struct Conn {
-    stream: TcpStream,
-    phase: ReadPhase,
-    header: [u8; 4],
-    /// Reused payload scratch; capacity persists across frames.
-    payload: Vec<u8>,
-    /// Sequence number assigned to the next inbound frame.
-    next_seq: u64,
-    /// Sequence number of the next reply to release into `outbound`.
-    next_release: u64,
-    /// Frames dispatched (or completed inline) but not yet released.
-    pending: usize,
-    /// Out-of-order completions waiting for their turn, `(seq, frame)`.
-    completed: Vec<(u64, Vec<u8>)>,
-    /// Released-but-unwritten reply bytes; `write_pos` marks progress.
-    outbound: Vec<u8>,
-    write_pos: usize,
-    /// Iteration until which this connection is scanned every pass.
-    hot_until: u64,
-    read_eof: bool,
-    close_after_flush: bool,
-    dead: bool,
+#[derive(Debug)]
+struct Conns {
+    stopping: bool,
+    next_id: u64,
+    /// Every live connection, so a shutdown can end its reads.
+    live: HashMap<u64, Arc<TcpStream>>,
 }
 
-impl Conn {
-    fn new(stream: TcpStream, hot_until: u64) -> Self {
-        Conn {
-            stream,
-            phase: ReadPhase::Header { filled: 0 },
-            header: [0; 4],
-            payload: Vec::new(),
-            next_seq: 0,
-            next_release: 0,
-            pending: 0,
-            completed: Vec::new(),
-            outbound: Vec::new(),
-            write_pos: 0,
-            hot_until,
-            read_eof: false,
-            close_after_flush: false,
-            dead: false,
+impl Control {
+    fn new(wake_addr: SocketAddr) -> Self {
+        Control {
+            conns: Mutex::new(Conns {
+                stopping: false,
+                next_id: 0,
+                live: HashMap::new(),
+            }),
+            changed: Condvar::new(),
+            wake_addr,
         }
     }
 
-    /// Unwritten reply bytes currently queued.
-    fn backlog(&self) -> usize {
-        self.outbound.len() - self.write_pos
+    fn lock(&self) -> MutexGuard<'_, Conns> {
+        self.conns
+            .lock()
+            .expect("a server thread panicked while holding the connection table")
+    }
+
+    /// Sets the stop flag, wakes an accept loop parked at the connection
+    /// cap, and wakes one blocked in `accept` by connecting to it. The
+    /// connect fails harmlessly once the listener is closed.
+    fn stop(&self) {
+        self.lock().stopping = true;
+        self.changed.notify_all();
+        let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT);
+    }
+
+    /// Registers an accepted connection; `None` once stopping (the
+    /// connection is then the stop request's wake-up, or a straggler).
+    fn open(&self, stream: &Arc<TcpStream>) -> Option<u64> {
+        let mut conns = self.lock();
+        if conns.stopping {
+            return None;
+        }
+        let id = conns.next_id;
+        conns.next_id += 1;
+        conns.live.insert(id, Arc::clone(stream));
+        Some(id)
+    }
+
+    fn close(&self, id: u64) {
+        self.lock().live.remove(&id);
+        self.changed.notify_all();
+    }
+
+    /// Waits while `max_conns` connections are live; `false` once a stop
+    /// is requested.
+    fn wait_for_room(&self, max_conns: usize) -> bool {
+        let mut conns = self.lock();
+        while !conns.stopping && conns.live.len() >= max_conns {
+            conns = self
+                .changed
+                .wait(conns)
+                .expect("a server thread panicked while holding the connection table");
+        }
+        !conns.stopping
+    }
+
+    /// Ends every live connection's reads and waits for its thread, up
+    /// to [`DRAIN_TIMEOUT`]; past it the sockets are shut down outright,
+    /// which also ends writes blocked on a peer that stopped reading.
+    fn drain(&self) {
+        let deadline = Instant::now() + DRAIN_TIMEOUT;
+        let mut conns = self.lock();
+        for stream in conns.live.values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        while !conns.live.is_empty() {
+            let now = Instant::now();
+            if now >= deadline {
+                for stream in conns.live.values() {
+                    let _ = stream.shutdown(Shutdown::Both);
+                }
+                return;
+            }
+            conns = self
+                .changed
+                .wait_timeout(conns, deadline - now)
+                .expect("a server thread panicked while holding the connection table")
+                .0;
+        }
     }
 }
 
-/// Whether the loop may read more frames from a connection: both
-/// backpressure bounds must have room. Reading — never writing — is what
-/// stops, so a slow reader throttles itself without unbounded buffering.
-fn may_read(pending: usize, backlog_bytes: usize, max_pending: usize, max_outbound: usize) -> bool {
-    pending < max_pending && backlog_bytes < max_outbound
+/// A counting bound on fetches executing at once.
+struct Permits {
+    free: Mutex<usize>,
+    freed: Condvar,
 }
 
-/// A connection slot; `generation` increments on reuse so completions
-/// for a previous occupant are recognised and dropped.
-struct Slot {
-    generation: u64,
-    conn: Option<Conn>,
+/// One held execution slot; dropping it frees the slot.
+struct Permit<'a>(&'a Permits);
+
+impl Permits {
+    fn new(count: usize) -> Self {
+        Permits {
+            free: Mutex::new(count.max(1)),
+            freed: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, usize> {
+        self.free
+            .lock()
+            .expect("a connection thread panicked while holding the execution bound")
+    }
+
+    fn acquire(&self) -> Permit<'_> {
+        let mut free = self.lock();
+        while *free == 0 {
+            free = self
+                .freed
+                .wait(free)
+                .expect("a connection thread panicked while holding the execution bound");
+        }
+        *free -= 1;
+        Permit(self)
+    }
 }
 
-struct EventLoop {
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        // `drop` must not panic; every update leaves the count valid, so
+        // a poisoned lock is safe to recover.
+        *self.0.free.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        self.0.freed.notify_one();
+    }
+}
+
+/// What every connection thread borrows from [`BoundServer::run`].
+struct Shared<'a> {
+    backend: &'a dyn ServeBackend,
+    dedup: Mutex<ReplyCache>,
+    control: &'a Control,
+    permits: Permits,
+}
+
+/// Accepts until a stop is requested, giving each connection a scoped
+/// thread. Takes the listener by value, so it closes as soon as
+/// accepting ends.
+fn accept_loop<'scope, 'env>(
     listener: TcpListener,
-    slots: Vec<Slot>,
-    free: Vec<usize>,
-    live: usize,
-    iter: u64,
     max_conns: usize,
-    max_pending: usize,
-    max_outbound: usize,
-}
-
-impl EventLoop {
-    fn run(&mut self, shared: &Shared, shutdown: &AtomicBool) {
-        let mut done_batch: Vec<Done> = Vec::new();
-        let mut drain_deadline: Option<Instant> = None;
-        let mut idle_spins: u32 = 0;
-        loop {
-            self.iter += 1;
-            let draining = shutdown.load(Ordering::Acquire);
-            if draining && drain_deadline.is_none() {
-                drain_deadline = Some(Instant::now() + DRAIN_TIMEOUT);
-            }
-            let mut progress = false;
-            if !draining {
-                progress |= self.accept_ready(shared);
-            }
-            progress |= self.route_completions(shared, &mut done_batch);
-            progress |= self.pump_connections(shared, shutdown, draining);
-            self.reap_dead(shared);
-            if draining
-                && (self.fully_drained() || drain_deadline.is_some_and(|d| Instant::now() >= d))
-            {
-                break;
-            }
-            if progress {
-                idle_spins = 0;
-            } else {
-                idle_spins = idle_spins.saturating_add(1);
-                if idle_spins <= YIELD_SPINS {
-                    thread::yield_now();
-                } else {
-                    thread::sleep(IDLE_SLEEP);
-                }
-            }
-        }
-    }
-
-    /// Accepts until the listener would block or the cap is reached.
-    /// At the cap, accepting simply stops: pending connections wait in
-    /// the kernel backlog (deferred, not refused) until a slot frees.
-    fn accept_ready(&mut self, _shared: &Shared) -> bool {
-        let mut progress = false;
-        while self.live < self.max_conns {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue; // cannot serve it; drop cleanly
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let conn = Conn::new(stream, self.iter + HOT_ITERS);
-                    match self.free.pop() {
-                        Some(slot) => self.slots[slot].conn = Some(conn),
-                        None => self.slots.push(Slot {
-                            generation: 0,
-                            conn: Some(conn),
-                        }),
-                    }
-                    self.live += 1;
-                    progress = true;
-                }
-                Err(err) if err.kind() == ErrorKind::WouldBlock => break,
-                Err(err) if err.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => break, // transient (e.g. EMFILE); retry next pass
-            }
-        }
-        progress
-    }
-
-    /// Drains worker completions into their connections' reorder
-    /// buffers, dropping any whose slot generation no longer matches.
-    fn route_completions(&mut self, shared: &Shared, batch: &mut Vec<Done>) -> bool {
-        shared.drain_done(batch);
-        let mut progress = !batch.is_empty();
-        for done in batch.drain(..) {
-            let slot = &mut self.slots[done.slot];
-            match slot.conn.as_mut() {
-                Some(conn) if slot.generation == done.generation && !conn.dead => {
-                    conn.completed.push((done.seq, done.frame));
-                    conn.hot_until = self.iter + HOT_ITERS;
-                }
-                _ => {
-                    shared.recycle_frame_buf(done.frame);
-                    progress = true;
-                }
-            }
-        }
-        progress
-    }
-
-    /// Per connection: release in-order completions, flush writes, then
-    /// read and dispatch new frames (unless draining or backpressured).
-    fn pump_connections(&mut self, shared: &Shared, shutdown: &AtomicBool, draining: bool) -> bool {
-        let mut progress = false;
-        for slot_idx in 0..self.slots.len() {
-            let Slot { generation, conn } = &mut self.slots[slot_idx];
-            let Some(conn) = conn.as_mut() else { continue };
-            let generation = *generation;
-            progress |= release_ready(conn, shared);
-            progress |= write_ready(conn);
-            if !draining && !conn.dead && !conn.read_eof && !conn.close_after_flush {
-                let hot = self.iter < conn.hot_until;
-                if hot || self.iter.is_multiple_of(COLD_SCAN_PERIOD) {
-                    let read = read_ready(
-                        conn,
-                        slot_idx,
-                        generation,
-                        shared,
-                        shutdown,
-                        self.max_pending,
-                        self.max_outbound,
-                    );
-                    if read {
-                        conn.hot_until = self.iter + HOT_ITERS;
-                    }
-                    progress |= read;
-                }
-            }
-            // A peer that closed its write side is parted with once every
-            // reply it is owed has been flushed.
-            if conn.read_eof && conn.pending == 0 && conn.backlog() == 0 {
-                conn.dead = true;
-            }
-        }
-        progress
-    }
-
-    fn reap_dead(&mut self, shared: &Shared) {
-        for (idx, slot) in self.slots.iter_mut().enumerate() {
-            let Some(conn) = slot.conn.as_ref() else {
-                continue;
-            };
-            if !conn.dead {
-                continue;
-            }
-            let Some(conn) = slot.conn.take() else {
-                continue;
-            };
-            for (_, frame) in conn.completed {
-                shared.recycle_frame_buf(frame);
-            }
-            slot.generation += 1;
-            self.free.push(idx);
-            self.live -= 1;
-        }
-    }
-
-    /// Everything owed has been delivered: no in-flight requests and no
-    /// unwritten bytes on any live connection.
-    fn fully_drained(&self) -> bool {
-        self.slots.iter().all(|slot| match &slot.conn {
-            Some(conn) => conn.pending == 0 && conn.backlog() == 0,
-            None => true,
-        })
-    }
-}
-
-/// Appends completions to the write buffer strictly in sequence order,
-/// so replies leave in the order their requests arrived even when
-/// workers finish out of order.
-fn release_ready(conn: &mut Conn, shared: &Shared) -> bool {
-    let mut progress = false;
-    loop {
-        let next = conn.next_release;
-        let Some(idx) = conn.completed.iter().position(|&(seq, _)| seq == next) else {
-            break;
-        };
-        let (_, frame) = conn.completed.swap_remove(idx);
-        conn.outbound.extend_from_slice(&frame);
-        shared.recycle_frame_buf(frame);
-        conn.next_release += 1;
-        conn.pending -= 1;
-        progress = true;
-    }
-    progress
-}
-
-/// Writes as much of the outbound buffer as the socket will take,
-/// resuming mid-frame across calls. Compacts the buffer when fully
-/// flushed (or once enough dead bytes accumulate), so capacity is reused
-/// rather than regrown.
-fn write_ready(conn: &mut Conn) -> bool {
-    let mut progress = false;
-    loop {
-        if conn.backlog() == 0 {
-            conn.outbound.clear();
-            conn.write_pos = 0;
-            if conn.close_after_flush && conn.pending == 0 {
-                conn.dead = true;
-            }
-            break;
-        }
-        match conn.stream.write(&conn.outbound[conn.write_pos..]) {
-            Ok(0) => {
-                conn.dead = true;
-                break;
-            }
-            Ok(n) => {
-                conn.write_pos += n;
-                progress = true;
-            }
-            Err(err) if err.kind() == ErrorKind::WouldBlock => break,
+    shared: &'env Shared<'env>,
+    scope: &'scope thread::Scope<'scope, 'env>,
+) {
+    while shared.control.wait_for_room(max_conns) {
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => Arc::new(stream),
             Err(err) if err.kind() == ErrorKind::Interrupted => continue,
             Err(_) => {
-                conn.dead = true;
-                break;
+                thread::sleep(ACCEPT_RETRY);
+                continue;
             }
-        }
-    }
-    if conn.write_pos >= COMPACT_THRESHOLD && conn.backlog() > 0 {
-        conn.outbound.drain(..conn.write_pos);
-        conn.write_pos = 0;
-    }
-    progress
-}
-
-/// Reads every byte the socket has ready (respecting the backpressure
-/// bounds), reassembling frames and dispatching each complete one.
-fn read_ready(
-    conn: &mut Conn,
-    slot: usize,
-    generation: u64,
-    shared: &Shared,
-    shutdown: &AtomicBool,
-    max_pending: usize,
-    max_outbound: usize,
-) -> bool {
-    let mut progress = false;
-    while !conn.dead
-        && !conn.close_after_flush
-        && may_read(conn.pending, conn.backlog(), max_pending, max_outbound)
-    {
-        match conn.phase {
-            ReadPhase::Header { filled } => {
-                match conn.stream.read(&mut conn.header[filled..]) {
-                    Ok(0) => {
-                        conn.read_eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        progress = true;
-                        let filled = filled + n;
-                        if filled < 4 {
-                            conn.phase = ReadPhase::Header { filled };
-                            continue;
-                        }
-                        let len = u32::from_le_bytes(conn.header);
-                        if len > MAX_FRAME_LEN {
-                            conn.dead = true; // unframeable garbage
-                            break;
-                        }
-                        let len = len as usize;
-                        conn.payload.clear();
-                        conn.payload.resize(len, 0);
-                        conn.phase = ReadPhase::Payload { filled: 0, len };
-                        if len == 0 {
-                            // An empty payload can never decode; the
-                            // stream is desynced beyond recovery.
-                            conn.dead = true;
-                            break;
-                        }
-                    }
-                    Err(err) if err.kind() == ErrorKind::WouldBlock => break,
-                    Err(err) if err.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.dead = true;
-                        break;
-                    }
-                }
-            }
-            ReadPhase::Payload { filled, len } => {
-                match conn.stream.read(&mut conn.payload[filled..len]) {
-                    Ok(0) => {
-                        conn.read_eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        progress = true;
-                        let filled = filled + n;
-                        if filled < len {
-                            conn.phase = ReadPhase::Payload { filled, len };
-                            continue;
-                        }
-                        conn.phase = ReadPhase::Header { filled: 0 };
-                        dispatch_frame(conn, slot, generation, shared, shutdown);
-                    }
-                    Err(err) if err.kind() == ErrorKind::WouldBlock => break,
-                    Err(err) if err.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.dead = true;
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    progress
-}
-
-/// Routes one complete frame: fetches, stats and cluster updates become
-/// worker jobs; shutdown and protocol errors are answered inline. Every
-/// frame consumes one sequence number so replies release in order.
-fn dispatch_frame(
-    conn: &mut Conn,
-    slot: usize,
-    generation: u64,
-    shared: &Shared,
-    shutdown: &AtomicBool,
-) {
-    let seq = conn.next_seq;
-    let mut files = shared.take_file_buf();
-    // The allocation-free fast path: fetch frames decode straight into a
-    // pooled buffer; everything else takes the cold full decode.
-    match decode_fetch_into(&conn.payload, &mut files) {
-        Ok(Some(header)) => {
-            conn.next_seq += 1;
-            conn.pending += 1;
-            shared.push_job(Job {
-                slot,
-                generation,
-                seq,
-                kind: JobKind::Fetch {
-                    request_id: header.request_id,
-                    files,
-                    owned: header.owned,
-                },
+        };
+        let _ = stream.set_nodelay(true);
+        let Some(id) = shared.control.open(&stream) else {
+            return;
+        };
+        let spawned = thread::Builder::new()
+            .name(CONN_THREAD_NAME.to_string())
+            .spawn_scoped(scope, move || {
+                serve_conn(shared, &stream);
+                shared.control.close(id);
             });
-        }
-        Ok(None) => {
-            shared.recycle_file_buf(files);
-            match Message::decode(&conn.payload) {
-                Ok(Message::StatsRequest { request_id }) => {
-                    conn.next_seq += 1;
-                    conn.pending += 1;
-                    shared.push_job(Job {
-                        slot,
-                        generation,
-                        seq,
-                        kind: JobKind::Stats { request_id },
-                    });
-                }
-                Ok(Message::ClusterUpdate {
-                    request_id,
-                    epoch,
-                    members,
-                }) => {
-                    conn.next_seq += 1;
-                    conn.pending += 1;
-                    shared.push_job(Job {
-                        slot,
-                        generation,
-                        seq,
-                        kind: JobKind::ClusterUpdate {
-                            request_id,
-                            epoch,
-                            members,
-                        },
-                    });
-                }
-                Ok(Message::Shutdown { request_id }) => {
-                    conn.next_seq += 1;
-                    conn.pending += 1;
-                    complete_inline(conn, seq, &Message::ShutdownAck { request_id }, shared);
-                    conn.close_after_flush = true;
-                    shutdown.store(true, Ordering::Release);
-                }
-                Ok(other) => {
-                    conn.next_seq += 1;
-                    conn.pending += 1;
-                    let reply = Message::Error {
-                        request_id: other.request_id(),
-                        message: format!("unexpected client message: {other:?}"),
-                    };
-                    complete_inline(conn, seq, &reply, shared);
-                }
-                Err(_) => {
-                    // A desynced stream cannot be re-framed; hang up.
-                    conn.dead = true;
-                }
-            }
-        }
-        Err(_) => {
-            shared.recycle_file_buf(files);
-            conn.dead = true;
+        if spawned.is_err() {
+            shared.control.close(id); // cannot serve it; hang up
         }
     }
 }
 
-/// Completes a frame on the I/O loop itself (no worker round trip),
-/// still sequenced like any other reply.
-fn complete_inline(conn: &mut Conn, seq: u64, reply: &Message, shared: &Shared) {
-    let mut frame = shared.take_frame_buf();
-    reply.encode_into(&mut frame);
-    conn.completed.push((seq, frame));
+/// Serves one connection, a frame at a time, until the peer closes it,
+/// sends something that cannot be framed or decoded, or asks the server
+/// to stop, or until the server shuts its reads down.
+fn serve_conn(shared: &Shared<'_>, stream: &TcpStream) {
+    let mut reader = BufReader::with_capacity(READ_BUF_BYTES, stream);
+    let mut writer = stream;
+    let mut payload = Vec::new();
+    let mut files = Vec::new();
+    let mut frame = Vec::new();
+    loop {
+        let mut header = [0u8; 4];
+        if reader.read_exact(&mut header).is_err() {
+            return;
+        }
+        let len = u32::from_le_bytes(header);
+        if len == 0 || len > MAX_FRAME_LEN {
+            return; // an empty or oversized frame: the stream is desynced
+        }
+        // `take` grows the buffer only as bytes arrive, so a lying length
+        // prefix cannot make the server allocate MAX_FRAME_LEN up front.
+        payload.clear();
+        match (&mut reader).take(u64::from(len)).read_to_end(&mut payload) {
+            Ok(n) if n == len as usize => {}
+            _ => return,
+        }
+        let Some((reply, stop)) = answer(shared, &payload, &mut files) else {
+            return;
+        };
+        frame.clear();
+        reply.encode_into(&mut frame);
+        let written = writer.write_all(&frame).is_ok();
+        if stop {
+            shared.control.stop();
+        }
+        if stop || !written {
+            return;
+        }
+    }
+}
+
+/// Answers one frame. `None` means hang up: a frame that does not decode
+/// leaves a stream that cannot be re-framed. The flag marks a
+/// `Shutdown`.
+fn answer(shared: &Shared<'_>, payload: &[u8], files: &mut Vec<FileId>) -> Option<(Message, bool)> {
+    // Fetch frames decode into the reused file buffer; everything else
+    // takes the full decode.
+    if let Some(header) = decode_fetch_into(payload, files).ok()? {
+        let _permit = (!header.owned).then(|| shared.permits.acquire());
+        let reply = serve_fetch(
+            shared.backend,
+            &shared.dedup,
+            header.request_id,
+            files,
+            header.owned,
+        );
+        return Some((
+            Message::FetchReply {
+                request_id: reply.request_id,
+                files: reply.files,
+            },
+            false,
+        ));
+    }
+    let reply = match Message::decode(payload).ok()? {
+        Message::StatsRequest { request_id } => {
+            let mut stats = shared.backend.wire_stats();
+            stats.reply_cache_hits += lock_dedup(&shared.dedup).hits();
+            Message::StatsReply { request_id, stats }
+        }
+        Message::ClusterUpdate {
+            request_id,
+            epoch,
+            members,
+        } => match shared.backend.apply_cluster_update(epoch, &members) {
+            Ok(held) => Message::ClusterUpdateAck {
+                request_id,
+                epoch: held,
+            },
+            Err(reason) => Message::Error {
+                request_id,
+                message: reason,
+            },
+        },
+        Message::Shutdown { request_id } => {
+            return Some((Message::ShutdownAck { request_id }, true));
+        }
+        other => Message::Error {
+            request_id: other.request_id(),
+            message: format!("unexpected client message: {other:?}"),
+        },
+    };
+    Some((reply, false))
 }
 
 fn lock_dedup(dedup: &Mutex<ReplyCache>) -> MutexGuard<'_, ReplyCache> {
     dedup
         .lock()
-        .expect("a worker panicked while holding the reply cache")
+        .expect("a connection thread panicked while holding the reply cache")
 }
 
 /// Serves one fetch, exactly-once per request id (see the [module
@@ -1103,34 +670,38 @@ fn execute(
 mod tests {
     use super::*;
 
-    #[test]
-    fn may_read_gates_on_both_bounds() {
-        // Room on both bounds: read.
-        assert!(may_read(0, 0, 8, 1024));
-        assert!(may_read(7, 1023, 8, 1024));
-        // Pending at the cap: stop, regardless of outbound room.
-        assert!(!may_read(8, 0, 8, 1024));
-        // Outbound at the cap: stop, regardless of pending room.
-        assert!(!may_read(0, 1024, 8, 1024));
-        // Both saturated.
-        assert!(!may_read(8, 1024, 8, 1024));
+    fn cache() -> Arc<ShardedAggregatingCache> {
+        Arc::new(
+            fgcache_core::ShardedAggregatingCacheBuilder::new(20)
+                .build()
+                .expect("valid build"),
+        )
     }
 
     #[test]
     fn builder_knobs_clamp_zero_to_one() {
-        let cache = Arc::new(
-            fgcache_core::ShardedAggregatingCacheBuilder::new(20)
-                .build()
-                .expect("valid build"),
-        );
-        let server = BoundServer::bind("127.0.0.1:0", cache)
+        let server = BoundServer::bind("127.0.0.1:0", cache())
             .expect("ephemeral bind")
             .with_max_conns(0)
-            .with_workers(0)
-            .with_queue_limits(0, 0);
+            .with_workers(0);
         assert_eq!(server.max_conns, 1);
         assert_eq!(server.workers, 1);
-        assert_eq!(server.max_pending, 1);
-        assert_eq!(server.max_outbound, 1);
+    }
+
+    #[test]
+    fn unspecified_bind_is_woken_through_loopback() {
+        let v4: SocketAddr = "0.0.0.0:4000".parse().expect("addr");
+        assert_eq!(wake_addr(v4), "127.0.0.1:4000".parse().expect("addr"));
+        let v6: SocketAddr = "[::]:4000".parse().expect("addr");
+        assert_eq!(wake_addr(v6), "[::1]:4000".parse().expect("addr"));
+        let bound: SocketAddr = "127.0.0.2:4000".parse().expect("addr");
+        assert_eq!(wake_addr(bound), bound);
+
+        // A server on every interface still stops: the wake-up connect
+        // goes through loopback.
+        let handle = BoundServer::bind("0.0.0.0:0", cache())
+            .expect("wildcard bind")
+            .spawn();
+        handle.stop();
     }
 }

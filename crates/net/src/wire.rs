@@ -251,7 +251,8 @@ impl Message {
     ///
     /// The buffer is cleared first, so repeated calls with the same
     /// buffer are allocation-free once its capacity has warmed up — the
-    /// event-driven server leans on this for its per-frame steady state.
+    /// server's connection threads lean on this for their per-frame
+    /// steady state.
     /// Byte-for-byte identical to [`Message::encode`] (pinned by a test).
     pub fn encode_into(&self, frame: &mut Vec<u8>) {
         frame.clear();
@@ -425,9 +426,9 @@ pub struct FetchFrame {
 }
 
 /// Decodes a `Fetch`/`FetchOwned` payload into a reused file buffer —
-/// the event-driven server's allocation-free hot path for inbound
-/// frames. `files` is cleared and refilled; once its capacity covers the
-/// largest group seen, repeated calls allocate nothing.
+/// the server's allocation-free hot path for inbound frames. `files` is
+/// cleared and refilled; once its capacity covers the largest group
+/// seen, repeated calls allocate nothing.
 ///
 /// Returns `Ok(None)` (with `files` left cleared) when the payload is a
 /// well-framed message of any *other* type, so callers can fall back to

@@ -1,7 +1,6 @@
-//! Event-loop integration tests: backpressure, slow clients, the
-//! connection cap, and frames arriving one byte at a time — the failure
-//! modes a readiness loop owns that a thread-per-connection server never
-//! saw.
+//! Server integration tests: pipelined order, slow clients, the
+//! connection cap, half-close, malformed frames and frames arriving one
+//! byte at a time.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -41,11 +40,11 @@ fn fetch_frame(id: u64, files: &[u64]) -> Vec<u8> {
 
 #[test]
 fn pipelined_batch_larger_than_the_pending_cap_replies_in_order() {
-    // 100 requests pipelined on one connection against a server that
-    // allows only 8 in flight: reading pauses at the cap and resumes as
-    // workers drain, and the reorder buffer still releases every reply
-    // in request order (the batched client matches replies by position).
-    let handle: ServerHandle = bound(300).with_queue_limits(8, 4 * 1024).spawn();
+    // 100 requests pipelined on one connection, far more than a reply
+    // fits in flight: the connection's thread answers each before it
+    // reads the next, so every reply leaves in request order (the batched
+    // client matches replies by position).
+    let handle: ServerHandle = bound(300).spawn();
     let mut client = NetClient::connect(handle.addr()).expect("connect");
     let batch: Vec<GroupRequest> = (0..100u64).map(|i| req(i, &[i % 17, i % 5])).collect();
     let replies = client.fetch_batch(&batch);
@@ -90,12 +89,12 @@ fn connection_cap_defers_accepts_until_a_slot_frees() {
 
 #[test]
 fn slow_reader_backpressure_leaves_other_connections_unaffected() {
-    // A client that pipelines 300 requests and reads nothing: its
-    // outbound queue fills past the (tiny) cap, the server stops reading
-    // its socket, and a well-behaved client on another connection keeps
-    // round-tripping normally. When the slow reader finally drains, every
-    // reply arrives, in order — nothing was dropped under pressure.
-    let handle = bound(400).with_queue_limits(16, 2 * 1024).spawn();
+    // A client that pipelines 300 requests and reads nothing: once the
+    // socket buffers fill, its connection thread blocks in `write` and
+    // stops reading, and a well-behaved client on another connection
+    // keeps round-tripping normally. When the slow reader finally drains,
+    // every reply arrives, in order — nothing was dropped under pressure.
+    let handle = bound(400).spawn();
 
     let mut slow = TcpStream::connect(handle.addr()).expect("slow connect");
     slow.set_nodelay(true).expect("nodelay");
@@ -108,9 +107,8 @@ fn slow_reader_backpressure_leaves_other_connections_unaffected() {
         slow.write_all(&fetch_frame(id, &files)).expect("pipeline");
     }
 
-    // The slow reader is now saturated (16 in flight, ~2 KiB of replies
-    // queued, the rest parked in kernel buffers). The other connection
-    // must not notice.
+    // The slow reader's requests and replies are now parked in kernel
+    // buffers. The other connection must not notice.
     let mut brisk = NetClient::connect(handle.addr()).expect("brisk connect");
     for i in 0..50u64 {
         let reply = brisk

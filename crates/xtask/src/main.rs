@@ -39,7 +39,7 @@
 //! `BENCH_cluster.json`, `BENCH_server.json` and `BENCH_plan.json` at
 //! the workspace root.
 //! The server bench is also the high-connection smoke: it holds 256+
-//! idle connections on the event-driven server, replays an active
+//! idle connections, each on its own server thread, replays an active
 //! workload, and exits nonzero unless the served stats are
 //! byte-identical to the in-process oracle and RSS growth stays
 //! bounded. `--threads N` is forwarded to the hot-path bench's
@@ -79,6 +79,8 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
+use std::thread;
+use std::time::{Duration, Instant};
 
 /// One gate violation: where it is and what rule it breaks.
 #[derive(Debug)]
@@ -409,22 +411,24 @@ fn ci(root: &Path, miri: bool) -> ExitCode {
     // The cluster smoke spawns three real `fgcache serve` processes,
     // pushes membership epochs (full view, a leave, a rejoin) mid-replay
     // over TCP, and exits nonzero unless every node's stats are
-    // byte-identical to the single-process routing oracle.
-    println!("==> cluster smoke: fgcache bench-cluster");
-    let ok = Command::new(root.join("target/release/fgcache"))
-        .args([
-            "bench-cluster",
-            "--nodes",
-            "3",
-            "--events",
-            "6000",
-            "--seed",
-            "2002",
-        ])
-        .current_dir(root)
-        .status()
-        .map(|s| s.success())
-        .unwrap_or(false);
+    // byte-identical to the single-process routing oracle. It runs in
+    // well under a second; the time limit turns a server that sleep-polls
+    // again (the old event loop took ~40 s here) into a failure.
+    println!("==> cluster smoke: fgcache bench-cluster (30 s limit)");
+    let ok = run_within(
+        Command::new(root.join("target/release/fgcache"))
+            .args([
+                "bench-cluster",
+                "--nodes",
+                "3",
+                "--events",
+                "6000",
+                "--seed",
+                "2002",
+            ])
+            .current_dir(root),
+        CLUSTER_SMOKE_LIMIT,
+    );
     if !ok {
         eprintln!("xtask ci: step failed: cluster smoke");
         return ExitCode::FAILURE;
@@ -445,6 +449,38 @@ fn ci(root: &Path, miri: bool) -> ExitCode {
     }
     println!("xtask ci: all steps passed");
     ExitCode::SUCCESS
+}
+
+/// Time limit on the 3-process cluster smoke.
+const CLUSTER_SMOKE_LIMIT: Duration = Duration::from_secs(30);
+
+/// Runs `cmd` and reports whether it exited successfully within `limit`.
+/// On Unix the command leads a process group of its own, so a timeout
+/// also kills the processes it spawned (the smoke's `serve` children).
+fn run_within(cmd: &mut Command, limit: Duration) -> bool {
+    #[cfg(unix)]
+    std::os::unix::process::CommandExt::process_group(cmd, 0);
+    let Ok(mut child) = cmd.spawn() else {
+        return false;
+    };
+    let deadline = Instant::now() + limit;
+    loop {
+        match child.try_wait() {
+            Ok(Some(status)) => return status.success(),
+            Ok(None) if Instant::now() < deadline => thread::sleep(Duration::from_millis(50)),
+            Ok(None) => {
+                eprintln!("xtask: killed after the {limit:?} limit");
+                #[cfg(unix)]
+                let _ = Command::new("kill")
+                    .args(["-KILL", "--", &format!("-{}", child.id())])
+                    .status();
+                let _ = child.kill();
+                let _ = child.wait();
+                return false;
+            }
+            Err(_) => return false,
+        }
+    }
 }
 
 /// The optional Miri job: runs the fgcache-types unit tests under the
@@ -1327,6 +1363,25 @@ fn f(file: FileId, id: u64) -> Option<u32> {\n\
         let r2: Vec<u64> = (0..5).map(|i| splitmix64(16 + i)).collect();
         assert_eq!(r1, r1_again);
         assert_ne!(r1, r2);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn run_within_kills_a_command_that_overruns_its_limit() {
+        assert!(run_within(
+            &mut Command::new("true"),
+            Duration::from_secs(10)
+        ));
+        assert!(!run_within(
+            &mut Command::new("false"),
+            Duration::from_secs(10)
+        ));
+        let started = Instant::now();
+        // A shell with a child of its own, like the smoke and its fleet.
+        let mut slow = Command::new("sh");
+        slow.args(["-c", "sleep 30 & wait"]);
+        assert!(!run_within(&mut slow, Duration::from_millis(200)));
+        assert!(started.elapsed() < Duration::from_secs(10));
     }
 
     #[test]
