@@ -13,9 +13,10 @@
 //!    [`ShardedAggregatingCache`](fgcache_core::ShardedAggregatingCache)
 //!    and proxies the rest to the owner over any
 //!    [`Transport`](fgcache_net::Transport) as a depth-bounded owned
-//!    fetch. Concurrent misses for the same group collapse through
-//!    [`SingleFlight`]; retries deduplicate by request id in reply
-//!    caches (the other half of exactly-once).
+//!    fetch. Concurrent misses for the same group collapse through a
+//!    [`SingleFlight`](fgcache_net::SingleFlight); retries of one
+//!    request id are answered once by the server in front of each node,
+//!    through the same type (the other half of exactly-once).
 //! 3. **Membership** ([`ring::ClusterView`]): explicit, epoch'd views
 //!    pushed over the wire (`ClusterUpdate`); stale epochs are ignored,
 //!    so delivery is idempotent and order-tolerant.
@@ -31,8 +32,6 @@
 
 pub mod node;
 pub mod ring;
-pub mod single_flight;
 
 pub use node::{ClusterNode, ClusterNodeStats, PeerConnector, RebalanceReport};
 pub use ring::{ownership_weight, ClusterView, NodeId, OwnershipRing};
-pub use single_flight::{flight_key, SingleFlight};

@@ -9,14 +9,12 @@
 //! onward, so proxy chains cannot loop even while membership views
 //! disagree mid-update.
 //!
-//! Concurrent proxied misses for the same group collapse through
-//! [`SingleFlight`]; retries of the *same* request reuse their id and
-//! deduplicate in the owner's reply cache. Local serves deduplicate in a
-//! node-level [`ReplyCache`] held across execution — the node, not the
-//! enclosing TCP server, is the exactly-once boundary, because the TCP
-//! server must not hold its own reply cache while a proxied fetch blocks
-//! on a peer (see
-//! [`ServeBackend::serializes_execution`]).
+//! Concurrent proxied misses for the same group collapse through a
+//! [`SingleFlight`] keyed by (owner, files), which retires each flight
+//! as soon as its leader finishes. The node itself keeps no reply
+//! cache: retries of the *same* request reuse their id and are answered
+//! exactly once by the [`BoundServer`](fgcache_net::BoundServer) in
+//! front of the node, and a proxied retry by the owner's server.
 //!
 //! If a proxy fails after the transport's own retries are exhausted, the
 //! node serves the group from its local cache instead — availability
@@ -27,14 +25,22 @@ use std::sync::{Arc, Mutex};
 
 use fgcache_core::ShardedAggregatingCache;
 use fgcache_net::{
-    FileReply, GroupReply, GroupRequest, ReplyCache, ServeBackend, Transport, TransportStats,
-    WireStats, DEFAULT_REPLY_CACHE_CAPACITY,
+    GroupReply, GroupRequest, ServeBackend, SingleFlight, Transport, TransportStats, WireStats,
 };
-use fgcache_types::hash::FastMap;
+use fgcache_types::hash::{mix64, FastMap};
 use fgcache_types::{FileId, TransportError};
 
 use crate::ring::{ClusterView, NodeId, OwnershipRing};
-use crate::single_flight::{flight_key, SingleFlight};
+
+/// The proxy flight key: a mix64 fold over the owner and the group's
+/// files, so the same group proxied to the same owner lands in the same
+/// flight. A collision costs only the collapse (the flight compares file
+/// lists), never a wrong reply.
+fn flight_key(owner: NodeId, files: &[FileId]) -> u64 {
+    files
+        .iter()
+        .fold(mix64(owner.0), |key, file| mix64(key ^ file.as_u64()))
+}
 
 /// Builds the transport to a peer, given its id and advertised address.
 /// The node calls this lazily, once per (peer, view) lifetime, and
@@ -89,8 +95,8 @@ pub struct ClusterNode {
     cache: Arc<ShardedAggregatingCache>,
     connector: PeerConnector,
     membership: Mutex<Membership>,
-    flights: SingleFlight,
-    local_dedup: Mutex<ReplyCache>,
+    /// Proxied fetches in flight, by [`flight_key`].
+    flights: SingleFlight<u64, Result<GroupReply, TransportError>>,
     counters: Mutex<ClusterNodeStats>,
 }
 
@@ -121,18 +127,9 @@ impl ClusterNode {
                 peers: FastMap::default(),
                 retired: TransportStats::default(),
             }),
-            flights: SingleFlight::new(),
-            local_dedup: Mutex::new(ReplyCache::new(DEFAULT_REPLY_CACHE_CAPACITY)),
+            flights: SingleFlight::new(0),
             counters: Mutex::new(ClusterNodeStats::default()),
         }
-    }
-
-    /// Overrides the node-level reply-cache window; 0 disables local
-    /// retry deduplication.
-    #[must_use]
-    pub fn with_dedup_capacity(self, capacity: usize) -> Self {
-        *self.lock_dedup() = ReplyCache::new(capacity);
-        self
     }
 
     /// This node's id.
@@ -160,12 +157,6 @@ impl ClusterNode {
         self.counters
             .lock()
             .expect("a cluster routing path panicked while holding the counters")
-    }
-
-    fn lock_dedup(&self) -> std::sync::MutexGuard<'_, ReplyCache> {
-        self.local_dedup
-            .lock()
-            .expect("a local serve panicked while holding the node reply cache")
     }
 
     /// Applies `view` if its epoch is newer than the held one, returning
@@ -238,27 +229,9 @@ impl ClusterNode {
         }
     }
 
-    /// Serves a group from the local cache, exactly-once per request id
-    /// via the node-level reply cache (held across execution; purely
-    /// local, so it cannot deadlock against a peer).
+    /// Serves a group from the local cache.
     pub fn serve_local(&self, request_id: u64, files: &[FileId]) -> GroupReply {
-        let mut dedup = self.lock_dedup();
-        if let Some(remembered) = dedup.get(request_id) {
-            return remembered.clone();
-        }
-        let replies: Vec<FileReply> = files
-            .iter()
-            .map(|&file| FileReply {
-                file,
-                outcome: self.cache.handle_access(file),
-            })
-            .collect();
-        let reply = GroupReply {
-            request_id,
-            files: replies,
-        };
-        dedup.insert(reply.clone());
-        reply
+        self.cache.serve_group(request_id, files)
     }
 
     /// Proxies a group fetch to `owner`, collapsing concurrent misses
@@ -290,8 +263,11 @@ impl ClusterNode {
             Err(_) => {
                 // The owner is unreachable after the transport's own
                 // retries: serve locally rather than fail the client.
-                self.lock_counters().proxy_failures += 1;
-                self.lock_counters().local_serves += 1;
+                {
+                    let mut c = self.lock_counters();
+                    c.proxy_failures += 1;
+                    c.local_serves += 1;
+                }
                 self.serve_local(request_id, files)
             }
         }
@@ -330,7 +306,7 @@ impl ClusterNode {
     }
 
     /// Merged upstream traffic: every live peer transport plus the
-    /// retired ones, plus this node's own reply-cache hits.
+    /// retired ones.
     pub fn transport_stats(&self) -> TransportStats {
         let m = self.lock_membership();
         let mut merged = m.retired;
@@ -341,8 +317,6 @@ impl ClusterNode {
                 .stats();
             merged.merge(&stats);
         }
-        drop(m);
-        merged.reply_cache_hits += self.lock_dedup().hits();
         merged
     }
 
@@ -384,20 +358,11 @@ impl ServeBackend for ClusterNode {
     }
 
     fn wire_stats(&self) -> WireStats {
-        let mut stats = self.cache.wire_stats();
-        stats.reply_cache_hits += self.lock_dedup().hits();
-        stats
+        self.cache.wire_stats()
     }
 
     fn apply_cluster_update(&self, epoch: u64, members: &[(u64, String)]) -> Result<u64, String> {
         Ok(self.apply_view(ClusterView::from_wire(epoch, members)))
-    }
-
-    /// Proxied fetches block on a peer's server; the enclosing server
-    /// must not serialise them under its own reply cache (the node-level
-    /// cache supplies exactly-once for local serves).
-    fn serializes_execution(&self) -> bool {
-        false
     }
 }
 
@@ -490,15 +455,14 @@ mod tests {
     }
 
     #[test]
-    fn local_retries_deduplicate_at_the_node() {
-        let (node, _remote) = two_nodes();
-        let file = owned_by(&node, NodeId(1));
-        let first = node.serve(1, &[file]);
-        let retry = node.serve(1, &[file]);
-        assert_eq!(first, retry);
-        assert_eq!(node.cache().stats().accesses, 1, "executed once");
-        assert_eq!(node.wire_stats().reply_cache_hits, 1);
-        assert_eq!(node.transport_stats().reply_cache_hits, 1);
+    fn flight_keys_differ_by_owner_and_files() {
+        let fs = [FileId(1), FileId(2), FileId(3)];
+        assert_ne!(flight_key(NodeId(1), &fs), flight_key(NodeId(2), &fs));
+        assert_ne!(
+            flight_key(NodeId(1), &[FileId(1), FileId(2)]),
+            flight_key(NodeId(1), &[FileId(2), FileId(1)]),
+            "file order is part of the group identity"
+        );
     }
 
     #[test]

@@ -1,15 +1,19 @@
 //! Cluster nodes behind real TCP servers: proxies between two nodes must
-//! not exhaust each other's execution bound, and a peer that accepts but
-//! never replies ends in the local fallback, not a hang.
+//! not exhaust each other's execution bound, a peer that accepts but
+//! never replies ends in the local fallback, not a hang, and each
+//! request is answered exactly once with its own group.
 
 use std::net::TcpListener;
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use fgcache_cluster::{ClusterNode, ClusterView, NodeId, PeerConnector};
-use fgcache_core::{ShardedAggregatingCache, ShardedAggregatingCacheBuilder};
-use fgcache_net::{BoundServer, NetClient, ServerHandle, Transport};
-use fgcache_types::FileId;
+use fgcache_core::{CostModel, ShardedAggregatingCache, ShardedAggregatingCacheBuilder};
+use fgcache_net::{
+    BoundServer, GroupReply, GroupRequest, NetClient, ServerHandle, SimTransport, Transport,
+    TransportStats,
+};
+use fgcache_types::{FileId, TransportError};
 
 fn cache() -> Arc<ShardedAggregatingCache> {
     Arc::new(
@@ -151,4 +155,145 @@ fn stalled_owner_falls_back_to_a_local_serve() {
     assert_eq!(stats.proxied, 1, "{stats:?}");
     assert_eq!(stats.local_serves, 1, "{stats:?}");
     assert_eq!(node.cache().stats().accesses, 1);
+}
+
+#[test]
+fn a_proxied_id_never_answers_another_clients_fetch() {
+    // Two default-namespace clients, each talking only to its own node,
+    // share request ids. A's proxy of P's fetch brings P's id 0 into B's
+    // server; Q's own id-0 fetch at B must still get Q's file.
+    let (a, server_a) = serve(1);
+    let (b, server_b) = serve(2);
+    let view = ClusterView::new(
+        1,
+        [
+            (NodeId(1), server_a.local_addr()),
+            (NodeId(2), server_b.local_addr()),
+        ],
+    );
+    a.apply_view(view.clone());
+    b.apply_view(view.clone());
+    let (handle_a, handle_b) = (server_a.spawn(), server_b.spawn());
+    let files = owned_by(&view, NodeId(2), 0, 2);
+
+    let mut p = NetClient::connect(handle_a.addr()).expect("connect to A");
+    let mut q = NetClient::connect(handle_b.addr()).expect("connect to B");
+    let from_p = p.next_request(vec![files[0]]);
+    let from_q = q.next_request(vec![files[1]]);
+    assert_eq!(from_p.request_id, from_q.request_id, "the ids collide");
+    let reply_p = p.fetch_group(&from_p).expect("P's fetch");
+    let reply_q = q.fetch_group(&from_q).expect("Q's fetch");
+    handle_a.stop();
+    handle_b.stop();
+
+    assert_eq!(reply_p.files[0].file, files[0]);
+    assert_eq!(reply_q.files[0].file, files[1], "Q got another group");
+    assert_eq!(b.cache().stats().accesses, 2, "B executed both fetches");
+    assert_eq!(a.stats().proxied, 1);
+}
+
+/// The test's handle on [`GatedPeer`]: how many fetches entered it, and
+/// whether they may proceed.
+#[derive(Default)]
+struct Gate {
+    state: Mutex<(usize, bool)>,
+    changed: Condvar,
+}
+
+impl Gate {
+    fn entered(&self) -> usize {
+        self.state.lock().expect("gate").0
+    }
+
+    fn release(&self) {
+        self.state.lock().expect("gate").1 = true;
+        self.changed.notify_all();
+    }
+}
+
+/// Parks every fetch through it until the test opens the gate.
+struct GatedPeer {
+    inner: SimTransport<'static>,
+    gate: Arc<Gate>,
+}
+
+impl Transport for GatedPeer {
+    fn fetch_group(&mut self, request: &GroupRequest) -> Result<GroupReply, TransportError> {
+        let mut state = self.gate.state.lock().expect("gate");
+        state.0 += 1;
+        while !state.1 {
+            state = self.gate.changed.wait(state).expect("gate");
+        }
+        drop(state);
+        self.inner.fetch_group(request)
+    }
+
+    fn stats(&self) -> TransportStats {
+        self.inner.stats()
+    }
+}
+
+#[test]
+fn a_concurrent_retry_at_a_node_waits_for_the_original() {
+    // Node 1 proxies to an in-process owner through a gated transport,
+    // so fetch 1 parks mid-proxy while its retry arrives on another
+    // connection.
+    let gate = Arc::new(Gate::default());
+    let owner = cache();
+    let node = Arc::new(ClusterNode::new(NodeId(1), cache(), {
+        let (gate, owner) = (Arc::clone(&gate), Arc::clone(&owner));
+        Box::new(move |_peer, _addr| {
+            Ok(Box::new(GatedPeer {
+                inner: SimTransport::to_shared_arc(Arc::clone(&owner), CostModel::remote()),
+                gate: Arc::clone(&gate),
+            }) as Box<dyn Transport + Send>)
+        })
+    }));
+    let view = ClusterView::new(
+        1,
+        [
+            (NodeId(1), "unused".to_string()),
+            (NodeId(2), "sim://2".to_string()),
+        ],
+    );
+    node.apply_view(view.clone());
+    let handle = BoundServer::bind_backend("127.0.0.1:0", Arc::clone(&node))
+        .expect("ephemeral bind")
+        .spawn();
+    let request = GroupRequest::new(1, owned_by(&view, NodeId(2), 0, 1));
+    let fetch = |request: GroupRequest| {
+        let addr = handle.addr().to_string();
+        std::thread::spawn(move || {
+            NetClient::connect(&addr)
+                .expect("connect")
+                .with_timeout(Duration::from_secs(10))
+                .fetch_group(&request)
+                .expect("fetch")
+        })
+    };
+
+    let first = fetch(request.clone());
+    while gate.entered() == 0 {
+        std::thread::yield_now();
+    }
+    let retry = fetch(request);
+    // A retry counts as a server hit when it joins the running fetch.
+    let mut stats = NetClient::connect(handle.addr()).expect("connect");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut hits = 0;
+    while hits == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+        hits = stats.server_stats().expect("stats reply").reply_cache_hits;
+    }
+    assert_eq!(hits, 1, "the retry joined the parked fetch at the server");
+    assert!(!retry.is_finished(), "the retry waits while id 1 is parked");
+    gate.release();
+    let (first, again) = (first.join().expect("first"), retry.join().expect("retry"));
+    handle.stop();
+
+    assert_eq!(first, again, "the identical reply");
+    assert_eq!(owner.stats().accesses, 1, "executed once");
+    assert_eq!(gate.entered(), 1, "one proxy fetch");
+    let stats = node.stats();
+    assert_eq!((stats.proxied, stats.collapsed), (1, 0), "{stats:?}");
 }

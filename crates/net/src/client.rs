@@ -13,8 +13,9 @@
 //! timed-out request would otherwise desync the frame stream for the next
 //! request on that connection. Retrying is the job of
 //! [`RetryingTransport`](crate::RetryingTransport) layered on top — the
-//! retried request reuses its request id, so the server's reply cache
-//! makes the retry idempotent even though the original may have executed.
+//! retried request reuses its request id, so the server's single-flight
+//! makes the retry idempotent even though the original may have executed
+//! or may still be executing.
 
 use std::net::TcpStream;
 use std::time::Duration;
@@ -29,6 +30,9 @@ pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Default connection-pool size.
 pub const DEFAULT_POOL_SIZE: usize = 2;
+
+/// Number of distinct request-id namespaces (see [`request_id`]).
+const MAX_ID_NAMESPACES: u64 = 1 << 16;
 
 /// A pooled TCP client for a group-fetch server. See the
 /// [module docs](self).
@@ -85,8 +89,18 @@ impl NetClient {
     /// Namespaces this client's request ids (see
     /// [`request_id`]); concurrent clients of one
     /// server must use distinct namespaces.
+    ///
+    /// # Panics
+    ///
+    /// If `namespace` is 2¹⁶ or more: a request id keeps only 16
+    /// namespace bits, so such a namespace would alias a smaller one
+    /// (`1 << 16` would share every id with namespace 0).
     #[must_use]
     pub fn with_id_namespace(mut self, namespace: u64) -> Self {
+        assert!(
+            namespace < MAX_ID_NAMESPACES,
+            "request-id namespace {namespace} does not fit in 16 bits"
+        );
         self.namespace = namespace;
         self
     }

@@ -26,9 +26,12 @@
 //!
 //! The invariant the whole crate is built around: **a fetch executes at
 //! most once per request id**. Retries re-send the same id; servers (real
-//! and simulated) remember recent replies in a bounded [`ReplyCache`]
-//! ([`dedup`]) and re-deliver rather than re-execute. This is what makes
-//! a networked run produce *byte-identical* cache statistics to an
+//! and simulated) run every fetch through one [`SingleFlight`]
+//! ([`single_flight`]), which makes a retry wait for its running
+//! original or re-delivers the remembered reply rather than
+//! re-executing. The same type collapses a cluster node's concurrent
+//! misses for one group into one upstream fetch. This is what makes a
+//! networked run produce *byte-identical* cache statistics to an
 //! in-process run even when the network loses replies — which the
 //! loopback differential test demands.
 //!
@@ -63,20 +66,20 @@
 #![deny(missing_docs)]
 
 pub mod client;
-pub mod dedup;
 pub mod fault;
 pub mod retry;
 pub mod server;
 pub mod sim;
+pub mod single_flight;
 pub mod transport;
 pub mod wire;
 
 pub use client::NetClient;
-pub use dedup::{ReplyCache, DEFAULT_REPLY_CACHE_CAPACITY};
 pub use fault::{FaultConfig, FaultStats, FaultyTransport};
 pub use retry::{RetryPolicy, RetryingTransport};
 pub use server::{BoundServer, ServeBackend, ServerHandle, DEFAULT_MAX_CONNS, DEFAULT_WORKERS};
 pub use sim::{SimBackend, SimTransport};
+pub use single_flight::{SingleFlight, DEFAULT_REPLY_CACHE_CAPACITY};
 pub use transport::{
     request_id, DirectTransport, FileReply, GroupReply, GroupRequest, Transport, TransportStats,
 };

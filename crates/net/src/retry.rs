@@ -3,8 +3,9 @@
 //!
 //! Retries are safe because requests are idempotent by request id: every
 //! attempt re-sends the *same* [`GroupRequest`], and a server that already
-//! executed it re-delivers the remembered reply from its
-//! [`ReplyCache`](crate::ReplyCache) instead of executing twice.
+//! executed it (or is still executing it) hands back that execution's
+//! reply from its [`SingleFlight`](crate::SingleFlight) instead of
+//! executing twice.
 //!
 //! The backoff schedule is classic bounded exponential with decorrelating
 //! jitter: attempt `n` waits `base × 2ⁿ⁻¹` capped at `max`, then jittered

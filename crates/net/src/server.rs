@@ -37,14 +37,16 @@
 //!
 //! # Exactly-once fetches
 //!
-//! All connections share one [`ReplyCache`] behind a mutex, and for
-//! backends that [serialise](ServeBackend::serializes_execution) a fetch
-//! executes *while holding it* — a retry racing its original request,
-//! possibly on a different pooled connection, either finds the
-//! remembered reply or blocks until the original finishes, never
-//! double-executing. Backends that deduplicate internally (a cluster
-//! node, whose fetches may block on a *peer's* server) execute outside
-//! the lock.
+//! All connections share one [`SingleFlight`] keyed by (request id,
+//! frame kind). A fetch executes with no server-wide lock held; a retry
+//! racing its original, possibly on another pooled connection, waits
+//! for it and receives the same reply, and a retry arriving later is
+//! answered from the window of finished replies. A retry whose file
+//! list differs from the original's executes on its own, so a reused id
+//! never receives another group's reply. The frame kind keeps a peer's
+//! `FetchOwned` apart from a client `Fetch` that happens to share its
+//! id: an owned fetch then never waits on a client fetch, which may
+//! itself be waiting on a peer.
 //!
 //! # Shutdown
 //!
@@ -69,7 +71,7 @@ use std::time::{Duration, Instant};
 use fgcache_core::ShardedAggregatingCache;
 use fgcache_types::FileId;
 
-use crate::dedup::{ReplyCache, DEFAULT_REPLY_CACHE_CAPACITY};
+use crate::single_flight::{SingleFlight, DEFAULT_REPLY_CACHE_CAPACITY};
 use crate::transport::{FileReply, GroupReply};
 use crate::wire::{decode_fetch_into, Message, WireStats, MAX_FRAME_LEN};
 
@@ -129,13 +131,9 @@ pub trait ServeBackend: Send + Sync {
         Err("this server is not a cluster node".to_string())
     }
 
-    /// Whether the server must hold its reply cache across execution to
-    /// make fetches exactly-once (the default). Backends that deduplicate
-    /// internally — a cluster node, whose fetches may block on a *peer's*
-    /// server — return `false`, so a fetch executes outside the
-    /// server-wide lock: two nodes proxying to each other would otherwise
-    /// deadlock, each holding its own reply cache while waiting on the
-    /// other's.
+    /// Inert: the server never calls it, since every fetch goes through
+    /// one [`SingleFlight`] whatever the backend. It stays only because
+    /// benchmark code outside the library forwards it.
     fn serializes_execution(&self) -> bool {
         true
     }
@@ -225,8 +223,9 @@ impl BoundServer {
         })
     }
 
-    /// Overrides the reply-cache window (see
-    /// [`ReplyCache`]); 0 disables retry deduplication.
+    /// Overrides how many finished replies the server remembers for
+    /// retries (see [`SingleFlight`]); 0 keeps only concurrent retries
+    /// from re-executing.
     #[must_use]
     pub fn with_dedup_capacity(mut self, capacity: usize) -> Self {
         self.dedup_capacity = capacity;
@@ -272,7 +271,7 @@ impl BoundServer {
         } = self;
         let shared = Shared {
             backend: &*backend,
-            dedup: Mutex::new(ReplyCache::new(dedup_capacity)),
+            flights: SingleFlight::new(dedup_capacity),
             control: &control,
             permits: Permits::new(workers),
         };
@@ -482,7 +481,8 @@ impl Drop for Permit<'_> {
 /// What every connection thread borrows from [`BoundServer::run`].
 struct Shared<'a> {
     backend: &'a dyn ServeBackend,
-    dedup: Mutex<ReplyCache>,
+    /// Fetches in flight and recently answered, by (request id, owned).
+    flights: SingleFlight<(u64, bool), GroupReply>,
     control: &'a Control,
     permits: Permits,
 }
@@ -569,13 +569,7 @@ fn answer(shared: &Shared<'_>, payload: &[u8], files: &mut Vec<FileId>) -> Optio
     // takes the full decode.
     if let Some(header) = decode_fetch_into(payload, files).ok()? {
         let _permit = (!header.owned).then(|| shared.permits.acquire());
-        let reply = serve_fetch(
-            shared.backend,
-            &shared.dedup,
-            header.request_id,
-            files,
-            header.owned,
-        );
+        let reply = serve_fetch(shared, header.request_id, files, header.owned);
         return Some((
             Message::FetchReply {
                 request_id: reply.request_id,
@@ -587,7 +581,7 @@ fn answer(shared: &Shared<'_>, payload: &[u8], files: &mut Vec<FileId>) -> Optio
     let reply = match Message::decode(payload).ok()? {
         Message::StatsRequest { request_id } => {
             let mut stats = shared.backend.wire_stats();
-            stats.reply_cache_hits += lock_dedup(&shared.dedup).hits();
+            stats.reply_cache_hits += shared.flights.hits();
             Message::StatsReply { request_id, stats }
         }
         Message::ClusterUpdate {
@@ -615,55 +609,19 @@ fn answer(shared: &Shared<'_>, payload: &[u8], files: &mut Vec<FileId>) -> Optio
     Some((reply, false))
 }
 
-fn lock_dedup(dedup: &Mutex<ReplyCache>) -> MutexGuard<'_, ReplyCache> {
-    dedup
-        .lock()
-        .expect("a connection thread panicked while holding the reply cache")
-}
-
-/// Serves one fetch, exactly-once per request id (see the [module
-/// docs](self)). `owned` selects the depth-bounded
+/// Serves one fetch, exactly-once per request id and frame kind (see
+/// the [module docs](self)). `owned` selects the depth-bounded
 /// [`ServeBackend::serve_owned`] path.
-///
-/// For backends that [serialise](ServeBackend::serializes_execution), the
-/// reply cache is held across execution, so a racing retry blocks rather
-/// than double-executing. Backends that deduplicate internally execute
-/// outside the lock (the get/insert around execution is then merely a
-/// fast path; the backend's own dedup supplies exactly-once).
-fn serve_fetch(
-    backend: &dyn ServeBackend,
-    dedup: &Mutex<ReplyCache>,
-    request_id: u64,
-    files: &[FileId],
-    owned: bool,
-) -> GroupReply {
-    {
-        let mut guard = lock_dedup(dedup);
-        if let Some(remembered) = guard.get(request_id) {
-            return remembered.clone();
+fn serve_fetch(shared: &Shared<'_>, request_id: u64, files: &[FileId], owned: bool) -> GroupReply {
+    let backend = shared.backend;
+    let execute = || {
+        if owned {
+            backend.serve_owned(request_id, files)
+        } else {
+            backend.serve_group(request_id, files)
         }
-        if backend.serializes_execution() {
-            let reply = execute(backend, request_id, files, owned);
-            guard.insert(reply.clone());
-            return reply;
-        }
-    }
-    let reply = execute(backend, request_id, files, owned);
-    lock_dedup(dedup).insert(reply.clone());
-    reply
-}
-
-fn execute(
-    backend: &dyn ServeBackend,
-    request_id: u64,
-    files: &[FileId],
-    owned: bool,
-) -> GroupReply {
-    if owned {
-        backend.serve_owned(request_id, files)
-    } else {
-        backend.serve_group(request_id, files)
-    }
+    };
+    shared.flights.run((request_id, owned), files, execute).0
 }
 
 #[cfg(test)]

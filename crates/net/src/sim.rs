@@ -14,10 +14,12 @@
 //! interposes a transport between filter caches and the shared server.
 //!
 //! Like a real server, the transport deduplicates retried request ids
-//! through a bounded [`ReplyCache`], so it composes with
+//! through a [`SingleFlight`] with the server's window, so it composes with
 //! [`FaultyTransport`](crate::FaultyTransport) and
 //! [`RetryingTransport`](crate::RetryingTransport) without double-counting
-//! executed fetches.
+//! executed fetches. The transport is driven by one thread through
+//! `&mut self`, so its flights never wait: a retry either finds its
+//! original's reply in the window or executes.
 
 use std::sync::Arc;
 
@@ -25,7 +27,7 @@ use fgcache_core::{CostModel, ShardedAggregatingCache};
 use fgcache_types::rng::{RandomSource, SplitMix64};
 use fgcache_types::{AccessOutcome, TransportError};
 
-use crate::dedup::{ReplyCache, DEFAULT_REPLY_CACHE_CAPACITY};
+use crate::single_flight::{SingleFlight, DEFAULT_REPLY_CACHE_CAPACITY};
 use crate::transport::{FileReply, GroupReply, GroupRequest, Transport, TransportStats};
 
 /// What a [`SimTransport`] fetches from.
@@ -53,7 +55,7 @@ pub struct SimTransport<'a> {
     model: CostModel,
     jitter_frac: f64,
     jitter: SplitMix64,
-    dedup: ReplyCache,
+    flights: SingleFlight<u64, GroupReply>,
     stats: TransportStats,
 }
 
@@ -65,7 +67,7 @@ impl<'a> SimTransport<'a> {
             model,
             jitter_frac: 0.0,
             jitter: SplitMix64::new(0),
-            dedup: ReplyCache::new(DEFAULT_REPLY_CACHE_CAPACITY),
+            flights: SingleFlight::new(DEFAULT_REPLY_CACHE_CAPACITY),
             stats: TransportStats::default(),
         }
     }
@@ -78,7 +80,7 @@ impl<'a> SimTransport<'a> {
             model,
             jitter_frac: 0.0,
             jitter: SplitMix64::new(0),
-            dedup: ReplyCache::new(DEFAULT_REPLY_CACHE_CAPACITY),
+            flights: SingleFlight::new(DEFAULT_REPLY_CACHE_CAPACITY),
             stats: TransportStats::default(),
         }
     }
@@ -94,7 +96,7 @@ impl<'a> SimTransport<'a> {
             model,
             jitter_frac: 0.0,
             jitter: SplitMix64::new(0),
-            dedup: ReplyCache::new(DEFAULT_REPLY_CACHE_CAPACITY),
+            flights: SingleFlight::new(DEFAULT_REPLY_CACHE_CAPACITY),
             stats: TransportStats::default(),
         }
     }
@@ -129,50 +131,60 @@ impl<'a> SimTransport<'a> {
         self.model.request_latency * scale
     }
 
-    /// Executes one request at the backend (no dedup, no clock), returning
-    /// the reply and updating executed-fetch counters.
-    fn execute(&mut self, request: &GroupRequest) -> GroupReply {
-        let files: Vec<FileReply> = request
-            .files
-            .iter()
-            .map(|&file| {
-                let outcome = match self.backend {
-                    SimBackend::Origin => AccessOutcome::Miss,
-                    SimBackend::Shared(cache) => cache.handle_access(file),
-                    SimBackend::SharedOwned(ref cache) => cache.handle_access(file),
-                };
-                FileReply { file, outcome }
-            })
-            .collect();
-        let reply = GroupReply {
-            request_id: request.request_id,
-            files,
-        };
-        self.stats.requests += 1;
-        self.stats.files_moved += reply.files.len() as u64;
-        self.stats.hits += reply.hits();
-        self.stats.misses += reply.misses();
-        reply
-    }
-
-    /// Serves one request: dedup-check first, then execute. Advances the
-    /// clock by `transfer` time units (the caller decides how much request
-    /// latency the round trip pays — one per request, or one per batch).
+    /// Serves one request: a retry of a remembered id is re-delivered,
+    /// anything else executes. Advances the clock by `transfer` time
+    /// units (the caller decides how much request latency the round trip
+    /// pays — one per request, or one per batch).
     fn serve(&mut self, request: &GroupRequest) -> GroupReply {
-        if let Some(cached) = self.dedup.get(request.request_id) {
+        let SimTransport {
+            backend,
+            model,
+            flights,
+            stats,
+            ..
+        } = self;
+        let (reply, retried) = flights.run(request.request_id, &request.files, || {
+            execute(backend, stats, request)
+        });
+        if retried {
             // An idempotent retry: re-deliver, pay the wire cost again,
             // but leave executed-fetch counters untouched.
-            let reply = cached.clone();
-            self.stats.dedup_hits += 1;
-            self.stats.reply_cache_hits += 1;
-            self.stats.virtual_time += self.model.transfer_time * reply.files.len() as f64;
-            return reply;
+            stats.dedup_hits += 1;
+            stats.reply_cache_hits += 1;
         }
-        let reply = self.execute(request);
-        self.stats.virtual_time += self.model.transfer_time * reply.files.len() as f64;
-        self.dedup.insert(reply.clone());
+        stats.virtual_time += model.transfer_time * reply.files.len() as f64;
         reply
     }
+}
+
+/// Executes one request at the backend (no dedup, no clock), returning
+/// the reply and updating executed-fetch counters.
+fn execute(
+    backend: &SimBackend<'_>,
+    stats: &mut TransportStats,
+    request: &GroupRequest,
+) -> GroupReply {
+    let files: Vec<FileReply> = request
+        .files
+        .iter()
+        .map(|&file| {
+            let outcome = match backend {
+                SimBackend::Origin => AccessOutcome::Miss,
+                SimBackend::Shared(cache) => cache.handle_access(file),
+                SimBackend::SharedOwned(cache) => cache.handle_access(file),
+            };
+            FileReply { file, outcome }
+        })
+        .collect();
+    let reply = GroupReply {
+        request_id: request.request_id,
+        files,
+    };
+    stats.requests += 1;
+    stats.files_moved += reply.files.len() as u64;
+    stats.hits += reply.hits();
+    stats.misses += reply.misses();
+    reply
 }
 
 impl Transport for SimTransport<'_> {

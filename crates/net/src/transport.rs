@@ -12,19 +12,26 @@
 //!
 //! # Request identity and idempotency
 //!
-//! Every request carries a caller-assigned `request_id`. Servers keep a
-//! bounded reply cache keyed by that id, so a *retry* of a request whose
-//! reply was lost re-delivers the original reply instead of re-executing
-//! the fetch (which would corrupt cache statistics and residency). Ids
-//! must therefore be unique per server within the dedup window; drivers
-//! with several clients namespace them via [`request_id`].
+//! Every request carries a caller-assigned `request_id`. Servers run
+//! fetches through a [`SingleFlight`](crate::SingleFlight) keyed by that
+//! id, so a *retry* of a request whose reply was lost re-delivers the
+//! original reply instead of re-executing the fetch (which would corrupt
+//! cache statistics and residency). A server never hands one group's
+//! reply to a request for another group, but two *different* requests
+//! that share an id within the window can still cost each other their
+//! retry protection. Ids should therefore be unique per server within
+//! the window; replays with several clients namespace them via
+//! [`request_id`].
 
 use fgcache_core::ShardedAggregatingCache;
 use fgcache_types::{AccessOutcome, FileId, TransportError};
 
 /// Builds a namespaced request id: client `namespace` in the top 16 bits,
 /// per-client sequence number below. Keeps concurrent clients' ids
-/// disjoint so server-side reply deduplication never collides.
+/// disjoint so server-side reply deduplication never collides. Only the
+/// low 16 bits of `namespace` survive, so namespaces must stay below
+/// 2¹⁶ ([`NetClient::with_id_namespace`](crate::NetClient::with_id_namespace)
+/// enforces this).
 pub fn request_id(namespace: u64, seq: u64) -> u64 {
     (namespace << 48) | (seq & ((1u64 << 48) - 1))
 }
@@ -102,10 +109,9 @@ pub struct TransportStats {
     /// Requests answered from the server-side reply cache (idempotent
     /// retries).
     pub dedup_hits: u64,
-    /// Hits in a reply cache *owned by this transport stack* — the
+    /// Retries answered by a server *embedded in this transport* — the
     /// server-side view of `dedup_hits`, populated by transports that
-    /// embed a reply cache (e.g. `SimTransport`) and by cluster nodes;
-    /// real servers export theirs via
+    /// simulate a server (`SimTransport`); real servers export theirs via
     /// [`WireStats::reply_cache_hits`](crate::WireStats::reply_cache_hits).
     pub reply_cache_hits: u64,
     /// Retry attempts made by a retrying decorator.

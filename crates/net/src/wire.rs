@@ -98,8 +98,10 @@ pub struct WireStats {
     pub files_transferred: u64,
     /// Group members skipped because already resident.
     pub members_already_resident: u64,
-    /// Requests answered from the server's reply cache (idempotent
-    /// retries re-served without re-execution). Added in wire v2.
+    /// Fetches answered with another execution's reply instead of
+    /// executing: retries that waited for their running original or were
+    /// re-served from the server's window of finished replies. Added in
+    /// wire v2.
     pub reply_cache_hits: u64,
 }
 

@@ -1,13 +1,17 @@
 //! Loopback TCP integration tests: a real [`BoundServer`] on an ephemeral
 //! 127.0.0.1 port, exercised by [`NetClient`] through the full wire
-//! protocol — fetches, pipelined batches, idempotent retries, stats, and
-//! cooperative shutdown.
+//! protocol — fetches, pipelined batches, idempotent retries (concurrent
+//! ones included), stats, and cooperative shutdown.
 
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use fgcache_core::{ShardedAggregatingCache, ShardedAggregatingCacheBuilder};
-use fgcache_net::{BoundServer, GroupRequest, NetClient, ServerHandle, Transport};
+use fgcache_net::{
+    BoundServer, GroupReply, GroupRequest, NetClient, ServeBackend, ServerHandle, Transport,
+    WireStats,
+};
 use fgcache_types::{FileId, TransportErrorKind};
 
 fn server(capacity: usize, group: usize) -> (ServerHandle, Arc<ShardedAggregatingCache>) {
@@ -240,5 +244,148 @@ fn pool_survives_many_sequential_clients() {
         }
     }
     assert_eq!(cache.stats().accesses, 100);
+    handle.stop();
+}
+
+#[test]
+#[should_panic(expected = "does not fit in 16 bits")]
+fn id_namespaces_beyond_16_bits_are_rejected() {
+    // `request_id` keeps 16 namespace bits, so 1 << 16 would alias
+    // namespace 0. Any listener will do: the client only has to connect.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let client = NetClient::connect(&addr)
+        .expect("connect")
+        .with_id_namespace(0xFFFF); // the largest namespace is fine
+    let _ = client.with_id_namespace(1 << 16);
+}
+
+/// The request id whose fetches park in [`GatedCache`] until released.
+const PARKED_ID: u64 = 1;
+
+/// A plain cache whose fetches for [`PARKED_ID`] park until the test
+/// opens the gate, counting how many times that id executed.
+struct GatedCache {
+    cache: ShardedAggregatingCache,
+    parked_runs: Mutex<usize>,
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl GatedCache {
+    fn new() -> Self {
+        GatedCache {
+            cache: ShardedAggregatingCacheBuilder::new(40)
+                .shards(2)
+                .group_size(1)
+                .build()
+                .expect("valid build"),
+            parked_runs: Mutex::new(0),
+            open: Mutex::new(false),
+            opened: Condvar::new(),
+        }
+    }
+
+    fn parked_runs(&self) -> usize {
+        *self.parked_runs.lock().expect("run counter")
+    }
+
+    fn release(&self) {
+        *self.open.lock().expect("gate") = true;
+        self.opened.notify_all();
+    }
+}
+
+impl ServeBackend for GatedCache {
+    fn serve_group(&self, request_id: u64, files: &[FileId]) -> GroupReply {
+        if request_id == PARKED_ID {
+            *self.parked_runs.lock().expect("run counter") += 1;
+            let mut open = self.open.lock().expect("gate");
+            while !*open {
+                open = self.opened.wait(open).expect("gate");
+            }
+        }
+        self.cache.serve_group(request_id, files)
+    }
+
+    fn wire_stats(&self) -> WireStats {
+        self.cache.wire_stats()
+    }
+}
+
+/// Fetches `request` on a fresh client, so on a connection of its own.
+fn fetch_on_new_connection(addr: &str, request: GroupRequest) -> JoinHandle<GroupReply> {
+    let addr = addr.to_string();
+    std::thread::spawn(move || {
+        NetClient::connect(&addr)
+            .expect("connect")
+            .with_timeout(Duration::from_secs(10))
+            .fetch_group(&request)
+            .expect("fetch")
+    })
+}
+
+/// The server's `reply_cache_hits` once it is nonzero, or 0 after
+/// `patience`. A retry counts as a hit when it joins a running fetch, so
+/// a hit while the original is parked shows the retry is waiting on it.
+fn reply_cache_hits_within(client: &mut NetClient, patience: Duration) -> u64 {
+    let deadline = std::time::Instant::now() + patience;
+    loop {
+        let hits = client.server_stats().expect("stats reply").reply_cache_hits;
+        if hits > 0 || std::time::Instant::now() >= deadline {
+            return hits;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A server over a [`GatedCache`], with fetch [`PARKED_ID`] already
+/// parked inside the backend.
+fn server_with_a_parked_fetch() -> (ServerHandle, Arc<GatedCache>, JoinHandle<GroupReply>) {
+    let backend = Arc::new(GatedCache::new());
+    let handle = BoundServer::bind_backend("127.0.0.1:0", Arc::clone(&backend))
+        .expect("ephemeral bind")
+        .spawn();
+    let parked = fetch_on_new_connection(handle.addr(), req(PARKED_ID, &[1, 2]));
+    while backend.parked_runs() == 0 {
+        std::thread::yield_now();
+    }
+    (handle, backend, parked)
+}
+
+#[test]
+fn a_parked_fetch_does_not_hold_up_other_connections() {
+    let (handle, backend, parked) = server_with_a_parked_fetch();
+    // A server that serialised execution would leave this fetch queued
+    // behind the parked one until the client timed out.
+    let mut client = NetClient::connect(handle.addr())
+        .expect("connect")
+        .with_timeout(Duration::from_secs(2));
+    let other = client.fetch_group(&req(2, &[3]));
+    backend.release();
+    let other = other.expect("fetch id 2 completes while id 1 is parked");
+    assert_eq!(other.files[0].file, FileId(3));
+    assert_eq!(parked.join().expect("parked client").request_id, PARKED_ID);
+    assert_eq!(backend.cache.stats().accesses, 3);
+    handle.stop();
+}
+
+#[test]
+fn a_concurrent_retry_waits_for_the_original_and_shares_its_reply() {
+    let (handle, backend, parked) = server_with_a_parked_fetch();
+    let retry = fetch_on_new_connection(handle.addr(), req(PARKED_ID, &[1, 2]));
+    let mut stats = NetClient::connect(handle.addr()).expect("connect");
+    assert_eq!(
+        reply_cache_hits_within(&mut stats, Duration::from_secs(5)),
+        1
+    );
+    assert!(!retry.is_finished(), "the retry waits while id 1 is parked");
+    backend.release();
+    let first = parked.join().expect("parked client");
+    let again = retry.join().expect("retrying client");
+    assert_eq!(first, again, "the identical reply, provenance included");
+    assert_eq!(backend.parked_runs(), 1, "id 1 executed once");
+    assert_eq!(backend.cache.stats().accesses, 2);
+    assert_eq!(stats.server_stats().expect("stats").reply_cache_hits, 1);
     handle.stop();
 }

@@ -29,8 +29,9 @@
 //!    In particular `fgcache-cluster` proxies to peers via injected
 //!    transports and never dials sockets itself.
 //!
-//! `fuzz` runs the differential fuzzers — the sharded-composition suite
-//! and the policy/two-level suite — over a bounded deterministic seed
+//! `fuzz` runs the differential fuzzers — the sharded-composition suite,
+//! the policy/two-level suite and the trace and wire malformed-input
+//! suites — over a bounded deterministic seed
 //! set (exported as `FGCACHE_FUZZ_SEEDS`), so CI exercises more seeds
 //! than the in-repo defaults without ever becoming flaky.
 //!
@@ -209,16 +210,16 @@ fn lint(root: &Path) -> ExitCode {
 const FUZZ_SEEDS: &str = "0xfeedface,0xbadc0ffe,1,42,20020702";
 
 /// Runs the differential fuzzers over [`FUZZ_SEEDS`]: the sharded
-/// aggregating-cache composition suite and the trace malformed-input
-/// suite (both read `FGCACHE_FUZZ_SEEDS`), plus the policy + two-level
-/// suite (fixed internal seeds).
+/// aggregating-cache composition suite and the trace and wire
+/// malformed-input suites (all read `FGCACHE_FUZZ_SEEDS`), plus the
+/// policy + two-level suite (fixed internal seeds).
 fn fuzz(root: &Path) -> ExitCode {
     fuzz_with_seeds(root, FUZZ_SEEDS)
 }
 
 /// One pass of all fuzz suites under an explicit seed list.
 fn fuzz_with_seeds(root: &Path, seeds: &str) -> ExitCode {
-    let suites: [(&str, &[&str]); 3] = [
+    let suites: [(&str, &[&str]); 4] = [
         (
             "sharded composition fuzzer",
             &[
@@ -244,6 +245,10 @@ fn fuzz_with_seeds(root: &Path, seeds: &str) -> ExitCode {
         (
             "trace malformed-input fuzzer",
             &["test", "-q", "-p", "fgcache-trace", "--test", "malformed"],
+        ),
+        (
+            "wire malformed-input fuzzer",
+            &["test", "-q", "-p", "fgcache-net", "--test", "malformed"],
         ),
     ];
     for (label, cargo_args) in suites {
